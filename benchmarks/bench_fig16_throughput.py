@@ -129,9 +129,7 @@ def test_fig16_real_engine_throughput(benchmark):
     n_partitions = _env_int("FIG16_PARTITIONS") or max(4, n_workers)
     sweep_counts = _worker_sweep(n_workers)
 
-    def run_microbatch(
-        cfg, runner=None, workers=None, telemetry=True, pipelined=False
-    ):
+    def run_microbatch(cfg, runner=None, workers=None, telemetry=True):
         with MicroBatchEngine(
             cfg,
             n_partitions=n_partitions,
@@ -139,7 +137,6 @@ def test_fig16_real_engine_throughput(benchmark):
             runner=runner,
             n_workers=workers,
             worker_telemetry=telemetry,
-            pipelined=pipelined,
         ) as engine:
             result = engine.run(tweets)
             return result, engine.metrics, engine.last_trace
@@ -157,30 +154,20 @@ def test_fig16_real_engine_throughput(benchmark):
         dark_mb, _, _ = run_microbatch(
             config, "processes", n_workers, telemetry=False
         )
-        # Pipelined double-buffering (same scalar config, telemetry on
-        # and off): merge/drain of batch k overlaps batch k+1's compute.
-        pipe_mb, pipe_reg, _ = run_microbatch(
-            config, "processes", n_workers, pipelined=True
-        )
-        pipe_dark, _, _ = run_microbatch(
-            config, "processes", n_workers, telemetry=False, pipelined=True
-        )
-        # Partition-scaling sweep: pipelined + fast_math is the
+        # Partition-scaling sweep: multi-process + fast_math is the
         # headline configuration (Fig. 16's SparkLocal analogue).
         sweep = {
-            w: run_microbatch(
-                fast_config, "processes", w, pipelined=True
-            )[0]
+            w: run_microbatch(fast_config, "processes", w)[0]
             for w in sweep_counts
         }
         return (
             sequential, serial_mb, scalar_mb, scalar_reg, scalar_trace,
-            dark_mb, pipe_mb, pipe_reg, pipe_dark, sweep,
+            dark_mb, sweep,
         )
 
     (
         sequential, serial_mb, scalar_mb, scalar_reg, scalar_trace,
-        dark_mb, pipe_mb, pipe_reg, pipe_dark, sweep,
+        dark_mb, sweep,
     ) = benchmark.pedantic(run_all, rounds=1, iterations=1)
     process_mb = sweep[n_workers]
     # Worker-side spans ship inside partition outputs and are stitched
@@ -216,9 +203,8 @@ def test_fig16_real_engine_throughput(benchmark):
         ["sequential", round(sequential.throughput)] + ["-"] * len(stage_cols),
         stage_row("microbatch/serial", serial_mb),
         stage_row(f"microbatch/{n_workers}proc", scalar_mb),
-        stage_row(f"microbatch/{n_workers}proc+pipe", pipe_mb),
     ] + [
-        stage_row(f"microbatch/{w}proc+pipe+fast", sweep[w])
+        stage_row(f"microbatch/{w}proc+fast", sweep[w])
         for w in sweep_counts
     ]
     bench_util.report(
@@ -247,10 +233,8 @@ def test_fig16_real_engine_throughput(benchmark):
             f"worker-telemetry overhead: {telemetry_overhead:+.1%} "
             f"throughput (telemetry-off vs on, console/profiling off)",
             f"raw engine throughput (telemetry off): "
-            f"{dark_mb.throughput:,.0f} t/s sync, "
-            f"{pipe_dark.throughput:,.0f} t/s pipelined; instrumented "
-            f"(scorecard-comparable): {scalar_mb.throughput:,.0f} t/s "
-            f"sync, {pipe_mb.throughput:,.0f} t/s pipelined",
+            f"{dark_mb.throughput:,.0f} t/s; instrumented "
+            f"(scorecard-comparable): {scalar_mb.throughput:,.0f} t/s",
             f"n_cpus is the affinity mask ({n_cpus} runnable), "
             f"not os.cpu_count() ({os.cpu_count()})",
         ],
@@ -261,15 +245,11 @@ def test_fig16_real_engine_throughput(benchmark):
             "n_cpus": n_cpus,
             "n_cpus_machine": os.cpu_count(),
             "fast_math": True,
-            "pipelined": True,
             "speedup_processes_vs_sequential": (
                 process_mb.throughput / sequential.throughput
             ),
             "speedup_scalar_processes_vs_sequential": (
                 scalar_mb.throughput / sequential.throughput
-            ),
-            "speedup_pipelined_vs_sync_processes": (
-                pipe_mb.throughput / scalar_mb.throughput
             ),
             "partition_sweep_tweets_per_s": {
                 str(w): sweep[w].throughput for w in sweep_counts
@@ -278,7 +258,6 @@ def test_fig16_real_engine_throughput(benchmark):
                 "sequential": sequential.throughput,
                 "microbatch_serial": serial_mb.throughput,
                 "microbatch_processes_scalar": scalar_mb.throughput,
-                "microbatch_processes_pipelined": pipe_mb.throughput,
                 "microbatch_processes": process_mb.throughput,
             },
             # Raw = worker telemetry off (no per-tweet stage histograms
@@ -286,30 +265,22 @@ def test_fig16_real_engine_throughput(benchmark):
             # Scorecard reports. The two are NOT comparable.
             "throughput_raw_tweets_per_s": {
                 "microbatch_processes": dark_mb.throughput,
-                "microbatch_processes_pipelined": pipe_dark.throughput,
             },
             "throughput_instrumented_tweets_per_s": {
                 "microbatch_processes": scalar_mb.throughput,
-                "microbatch_processes_pipelined": pipe_mb.throughput,
             },
             "transport_bytes_total": {
-                "tweets": pipe_reg.counter_value(
+                "tweets": scalar_reg.counter_value(
                     "transport_bytes_total",
                     engine="microbatch", channel="tweets",
                 ),
-                "broadcast": pipe_reg.counter_value(
+                "broadcast": scalar_reg.counter_value(
                     "transport_bytes_total",
                     engine="microbatch", channel="broadcast",
                 ),
             },
-            "tweet_block_encode_seconds_sum": pipe_reg.histogram_sum(
+            "tweet_block_encode_seconds_sum": scalar_reg.histogram_sum(
                 "tweet_block_encode_seconds", engine="microbatch"
-            ),
-            "driver_idle_seconds_sum": pipe_reg.histogram_sum(
-                "driver_idle_seconds", engine="microbatch"
-            ),
-            "worker_idle_seconds_sum": pipe_reg.histogram_sum(
-                "worker_idle_seconds", engine="microbatch"
             ),
             "sequential_stage_seconds": sequential.stage_seconds,
             "microbatch_serial_stage_seconds": serial_mb.stage_seconds.as_dict(),
@@ -347,7 +318,7 @@ def test_fig16_real_engine_throughput(benchmark):
         assert node["spans"][0]["name"] == "partition"
         assert node["pid"] > 0
     if n_cpus >= 2:
-        # With real cores available the pipelined multi-process path
+        # With real cores available the multi-process path
         # must beat the single-thread baseline outright.
         assert process_mb.throughput > sequential.throughput
         # Partition scaling: more workers must not lose throughput

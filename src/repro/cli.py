@@ -106,16 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--batch-size", type=_positive_int, default=5000,
                      help="tweets per micro-batch (default 5000)")
     run.add_argument("--runner", default="serial",
-                     choices=("serial", "threads", "processes"),
+                     choices=("serial", "processes"),
                      help="micro-batch partition executor (default serial)")
     run.add_argument("--workers", type=_positive_int, default=None,
-                     help="pool size for --runner threads/processes "
+                     help="pool size for --runner processes "
                      "(default: --partitions)")
-    run.add_argument("--pipeline", action="store_true",
-                     help="double-buffer micro-batches: overlap the "
-                     "driver's merge/drain of batch k with batch k+1's "
-                     "partition execution (microbatch engine; results "
-                     "are bit-exact with the synchronous path)")
     run.add_argument("--save-model", default=None,
                      help="write the trained model to this JSON path")
     run.add_argument("--report", default=None,
@@ -419,9 +414,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "error: --profile-partitions requires --engine microbatch"
         )
         return 2
-    if args.pipeline and args.engine != "microbatch":
-        logger.error("error: --pipeline requires --engine microbatch")
-        return 2
     if supervised:
         return _run_supervised(args, config)
     if args.engine == "microbatch":
@@ -528,8 +520,6 @@ def _run_supervised(args: argparse.Namespace, config: PipelineConfig) -> int:
             # The rebuilt engine predates these run flags; re-attach.
             supervisor.engine.recorder = recorder
             supervisor.engine.profile_partitions = args.profile_partitions
-            if args.pipeline:
-                supervisor.engine.pipelined = True
     else:
         if args.engine == "microbatch":
             engine = MicroBatchEngine(
@@ -544,7 +534,6 @@ def _run_supervised(args: argparse.Namespace, config: PipelineConfig) -> int:
                 speculate=args.speculate,
                 profile_partitions=args.profile_partitions,
                 recorder=recorder,
-                pipelined=args.pipeline,
             )
         else:
             engine = SequentialEngine(config, dead_letters=dead_letters)
@@ -786,7 +775,6 @@ def _run_microbatch(args: argparse.Namespace, config: PipelineConfig) -> int:
         speculate=args.speculate,
         profile_partitions=args.profile_partitions,
         recorder=recorder,
-        pipelined=args.pipeline,
     ) as engine:
         if sink is not None:
             sink.event("run_start", engine="microbatch", input=args.input)
@@ -797,9 +785,8 @@ def _run_microbatch(args: argparse.Namespace, config: PipelineConfig) -> int:
                 console.close()
         logger.info("configuration : %s", config.describe())
         logger.info("engine        : microbatch (%d partitions x %d tweets, "
-                    "runner=%s%s)",
-                    args.partitions, args.batch_size, args.runner,
-                    ", pipelined" if args.pipeline else "")
+                    "runner=%s)",
+                    args.partitions, args.batch_size, args.runner)
         logger.info("processed     : %d tweets (%d labeled, "
                     "%d micro-batches)",
                     result.n_processed, result.n_labeled,

@@ -531,23 +531,3 @@ def _rng_state_to_json(state) -> List[Any]:
 def _rng_state_from_json(payload) -> tuple:
     version, internal, gauss_next = payload
     return (int(version), tuple(int(v) for v in internal), gauss_next)
-
-
-def drain_before_checkpoint(engine: object) -> None:
-    """Settle a pipelined engine before its state is snapshotted.
-
-    A pipelined :class:`~repro.engine.microbatch.MicroBatchEngine` may
-    hold one in-flight batch whose merges have not landed yet; a
-    checkpoint taken mid-flight would silently drop that batch (its
-    tweets were consumed from the stream but are in no snapshot).
-    Draining first makes the checkpoint exactly-once: the in-flight
-    batch is finalized on the caller's thread, then the snapshot sees
-    it — and a later resume does not replay it.
-
-    Duck-typed (``getattr``-callable) so callers can pass any engine:
-    non-pipelined engines and the sequential pipeline have no ``drain``
-    and are untouched.
-    """
-    drain = getattr(engine, "drain", None)
-    if callable(drain):
-        drain()

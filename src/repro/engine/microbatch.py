@@ -1,7 +1,8 @@
 """Micro-batch execution of the pipeline (Fig. 2 dataflow).
 
-Each micro-batch of tweets becomes a partitioned RDD and flows through
-the numbered operations of Fig. 2:
+Each micro-batch of tweets is split round-robin into partitions (the
+engine's analogue of a Spark RDD) and flows through the numbered
+operations of Fig. 2:
 
 1. ``map`` — preprocessing + feature extraction + normalization.
    Each partition starts from the normalizer statistics broadcast by
@@ -30,8 +31,8 @@ Broadcast cost is O(1) per batch, not O(partitions): the batch-start
 state (model, normalizer statistics, BoW lexicon delta) rides in one
 :class:`~repro.engine.runners.StateBroadcast` shared by every partition
 task. Under a process runner it is pickled once per batch and decoded
-once per worker (workers cache the last version); under serial/thread
-runners the partitions read the live objects directly, which is why
+once per worker (workers cache the last version); under the serial
+runner the partitions read the live objects directly, which is why
 partition code treats the broadcast strictly as read-only — local
 normalizer clones come from ``fresh()`` + ``merge()`` (an exact copy:
 merging into an empty normalizer reproduces every statistic), and each
@@ -56,13 +57,6 @@ way back (SLR locals reduce to a weights/bias/count triple; per-tweet
 stage telemetry is only measured and shipped when worker telemetry is
 on).
 
-With ``pipelined=True`` the engine double-buffers batches: after batch
-*k*'s partitions resolve, the driver merges *k* (so batch *k+1*'s
-broadcast sees the updated state), launches *k+1* on a background
-submit thread, and runs *k*'s per-record drain/telemetry finalize
-while *k+1* computes. Merge order — and therefore model state — is
-bit-identical to the synchronous path; see :meth:`submit_batch`.
-
 Reliability: a batch whose partition tasks fail with a *transient*
 error (lost pool worker, I/O hiccup, injected fault) is retried under
 the engine's :class:`~repro.reliability.supervisor.RetryPolicy` with
@@ -83,7 +77,6 @@ import os
 import random
 import time
 import traceback as traceback_module
-from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
@@ -113,7 +106,6 @@ from repro.core.features import (
 from repro.core.normalization import Normalizer, make_normalizer
 from repro.core.sampling import BoostedRandomSampler
 from repro.data.tweet import Tweet
-from repro.engine.rdd import round_robin_partitions
 from repro.engine.runners import (
     OUTCOME_TIMED_OUT,
     OUTCOME_WORKER_LOST,
@@ -132,7 +124,6 @@ from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.obs.profile import ProfileReport, ProfileSlice, profile_call
 from repro.obs.recorder import FlightRecorder
 from repro.obs.tracing import (
-    STAGE_SECONDS,
     WORKER_STAGE_SECONDS,
     Tracer,
     WorkerTelemetry,
@@ -281,51 +272,21 @@ class _ExecStats:
         return self.n_timeouts + self.n_worker_lost
 
 
-@dataclass
-class _ExecBundle:
-    """Everything the partition-execute stage produced for one batch.
+def round_robin_partitions(
+    tweets: Sequence[Tweet], n_partitions: int
+) -> List[List[Tweet]]:
+    """Split one micro-batch into ``n_partitions`` round-robin partitions.
 
-    Built either inline (synchronous :meth:`process_batch`) or on the
-    pipeline submit thread; the merge/finalize phases consume it on the
-    driver thread in both cases, so the two paths share one code body.
+    Round-robin (rather than contiguous chunks) mirrors Spark's random
+    partitioning of streaming receivers and keeps the label mix of each
+    partition representative.
     """
-
-    outputs: List[_PartitionOutput]
-    indexed_outputs: List[Optional[_PartitionOutput]]
-    dropped: List[Tuple[int, TaskOutcome]]
-    exec_stats: Optional[_ExecStats]
-    retries_used: int
-    execute_seconds: float
-    #: perf_counter timestamp when the last partition resolved — the
-    #: anchor for the worker_idle_seconds measurement at next submit.
-    done_at: float
-
-
-@dataclass
-class _BatchState:
-    """One micro-batch's driver-side lifecycle record.
-
-    Created at launch (broadcast snapshot + partitioning + tweet-block
-    encode), carried through execute (``future``/``bundle``) and the
-    merge/finalize phases. In pipelined mode exactly one of these is in
-    flight at a time (double buffering: batch *k* finalizes while batch
-    *k+1* computes).
-    """
-
-    n_tweets: int
-    batch_tier: DegradeTier
-    broadcast: StateBroadcast
-    partitions: List[List[Tweet]]
-    block: TweetBlock
-    started: float
-    future: Optional["Future[_ExecBundle]"] = None
-    bundle: Optional[_ExecBundle] = None
-    #: Driver-tracer-observed execute duration (sync path only); the
-    #: pipelined path uses the bundle's own measurement.
-    execute_span_s: Optional[float] = None
-    model_merge_s: float = 0.0
-    bow_absorb_s: float = 0.0
-    normalizer_merge_s: float = 0.0
+    if n_partitions < 1:
+        raise ValueError("n_partitions must be >= 1")
+    partitions: List[List[Tweet]] = [[] for _ in range(n_partitions)]
+    for index, tweet in enumerate(tweets):
+        partitions[index % n_partitions].append(tweet)
+    return partitions
 
 
 def _maybe_span(tracer: Optional[Tracer], name: str) -> ContextManager:
@@ -363,8 +324,8 @@ class _PartitionTask:
     handful of scalar flags. The heavyweight batch-start state — model,
     normalizer statistics, BoW lexicon delta — rides in the shared
     :class:`~repro.engine.runners.StateBroadcast` (pickled once per
-    batch, decoded once per worker, read live under serial/thread
-    runners). Everything resolved from the broadcast is treated as
+    batch, decoded once per worker, read live under the serial
+    runner). Everything resolved from the broadcast is treated as
     read-only: sibling partitions share it.
     """
 
@@ -488,7 +449,7 @@ class _PartitionTask:
             # fresh() + merge() clones the broadcast exactly (merging
             # into an empty normalizer reproduces every statistic and
             # counter) while keeping the driver's live normalizer
-            # untouched under the serial and thread runners — no deep
+            # untouched under the serial runner — no deep
             # copy through the shared object graph.
             seen = normalizer.fresh()
             seen.merge(normalizer)
@@ -819,7 +780,7 @@ class MicroBatchEngine:
         batch_size: tweets per micro-batch.
         runner: partition executor. Either a :class:`Runner` instance —
             which the *caller* owns and must close — or a string spec
-            ("serial", "threads", "processes"), in which case the engine
+            ("serial", "processes"), in which case the engine
             builds the runner itself, owns it, and closes it in
             :meth:`close` (or on context-manager exit). Defaults to an
             engine-owned :class:`SerialRunner`.
@@ -863,20 +824,6 @@ class MicroBatchEngine:
         recorder: optional :class:`~repro.obs.recorder.FlightRecorder`;
             the engine records one event per batch and auto-dumps the
             ring on quarantine, pool rebuild, or a crashed run.
-        pipelined: double-buffer batches — :meth:`run` (and callers
-            using :meth:`submit_batch`) overlap the driver's merge/
-            drain of batch *k* with the partition execution of batch
-            *k+1* on a background submit thread. Results are bit-exact
-            with the synchronous path (merges still happen on the
-            driver thread, in partition order, only after every
-            partition of a batch has resolved); the differences are
-            timing-shaped: the overload controller observes each batch
-            at merge time (so adopted batch sizes apply one batch
-            later), the circuit breaker may trip one batch late, and an
-            execution error surfaces on the *next* submit (or on
-            :meth:`drain`). Callers must :meth:`drain` (or let
-            :meth:`run`/:meth:`close` do it) before reading final
-            state.
     """
 
     def __init__(
@@ -897,7 +844,6 @@ class MicroBatchEngine:
         worker_telemetry: bool = True,
         profile_partitions: bool = False,
         recorder: Optional[FlightRecorder] = None,
-        pipelined: bool = False,
     ) -> None:
         if n_partitions < 1:
             raise ValueError("n_partitions must be >= 1")
@@ -1040,24 +986,9 @@ class MicroBatchEngine:
         self._partition_hist = self.metrics.histogram(
             "partition_seconds", engine="microbatch"
         )
-        # Pipelined execution: one in-flight batch max (double
-        # buffering), launched on a single background submit thread.
-        # The tweet-block segment pool is shared across batches so the
+        # The tweet-block segment is pooled across batches so the
         # per-batch transport cost is one encode pass, not an mmap.
-        self.pipelined = pipelined
-        self._inflight: Optional[_BatchState] = None
-        self._submit_pool: Optional[ThreadPoolExecutor] = None
         self._segment_pool: Optional[SegmentPool] = None
-        self._last_execute_done: Optional[float] = None
-        self._pipeline_fill = self.metrics.gauge(
-            "pipeline_fill", engine="microbatch"
-        )
-        self._driver_idle_hist = self.metrics.histogram(
-            "driver_idle_seconds", engine="microbatch"
-        )
-        self._worker_idle_hist = self.metrics.histogram(
-            "worker_idle_seconds", engine="microbatch"
-        )
         self._encode_hist = self.metrics.histogram(
             "tweet_block_encode_seconds", engine="microbatch"
         )
@@ -1066,13 +997,6 @@ class MicroBatchEngine:
         )
         self._m_transport_broadcast = self.metrics.counter(
             "transport_bytes_total", engine="microbatch", channel="broadcast"
-        )
-        # The background thread must not touch the driver tracer (its
-        # span stack is single-threaded state), so the pipelined path
-        # books partition_execute time into the stage histogram
-        # directly — same child the tracer's span would create.
-        self._stage_execute_hist = self.metrics.histogram(
-            STAGE_SECONDS, engine="microbatch", stage="partition_execute"
         )
 
     @property
@@ -1130,17 +1054,9 @@ class MicroBatchEngine:
         Idempotent: calling it repeatedly (or after a failed :meth:`run`
         already closed the runner) is safe, and pooled runners lazily
         rebuild their pool if the engine is used again after a close.
-
-        A pipelined in-flight batch is *aborted*, not finalized: its
-        results are discarded (callers wanting them must :meth:`drain`
-        first). The submit thread and the tweet-block segment pool are
-        torn down with it, so a crashed pipelined run leaks neither
-        threads nor ``/dev/shm`` segments.
+        The pooled tweet-block segment is unlinked too, so a crashed
+        run leaks no ``/dev/shm`` segments.
         """
-        self._abort_inflight()
-        if self._submit_pool is not None:
-            self._submit_pool.shutdown(wait=False)
-            self._submit_pool = None
         if self._broadcast is not None:
             self._broadcast.release()
             self._broadcast = None
@@ -1259,9 +1175,8 @@ class MicroBatchEngine:
         stays on the shared broadcast and the batch's tweet block);
         local models are created inside the task call, so a
         half-executed attempt can never leak trained state into the
-        next one. ``tier`` is passed explicitly: it is captured at
-        batch-prepare time on the driver thread, so the pipelined
-        submit thread never reads the engine's mutable tier.
+        next one. ``tier`` is the tier captured when the batch started,
+        so every attempt of one batch runs at the same tier.
         """
         return [
             _PartitionTask(
@@ -1452,163 +1367,39 @@ class MicroBatchEngine:
             "partitions": partition_nodes,
         }
 
-    def _prepare_batch(self, tweets: Sequence[Tweet]) -> _BatchState:
-        """Snapshot everything a batch needs before execution starts.
+    def _tweet_block(self, partitions: List[List[Tweet]]) -> TweetBlock:
+        """The batch's tweets in the runner's transport form.
 
-        Runs on the driver thread (it reads mutable engine state: tier,
-        partition count, model/normalizer/BoW for the broadcast). The
-        tweets are partitioned once and — under a pickling runner —
-        encoded once into a pooled shared-memory tweet block; retries
-        and speculative copies all reuse the same block.
+        A pickling runner gets one shared-memory encode of the whole
+        batch (pooled segment, O(1) descriptors per task); in-process
+        runners get the live partition lists. Retries and speculative
+        copies all reuse the same block.
         """
-        started = time.perf_counter()
-        batch_tier = self.degrade_tier
-        broadcast = self._broadcast_state()
-        partitions = round_robin_partitions(tweets, self.n_partitions)
-        if getattr(self.runner, "needs_pickled_tasks", False):
-            if self._segment_pool is None:
-                self._segment_pool = SegmentPool()
-            t_encode = time.perf_counter()
-            block = TweetBlock.encode(partitions, self._segment_pool)
-            self._encode_hist.observe(time.perf_counter() - t_encode)
-            self._m_transport_tweets.inc(block.n_bytes)
-        else:
-            block = TweetBlock.live(partitions)
-        return _BatchState(
-            n_tweets=len(tweets),
-            batch_tier=batch_tier,
-            broadcast=broadcast,
-            partitions=partitions,
-            block=block,
-            started=started,
-        )
+        if not getattr(self.runner, "needs_pickled_tasks", False):
+            return TweetBlock.live(partitions)
+        if self._segment_pool is None:
+            self._segment_pool = SegmentPool()
+        t_encode = time.perf_counter()
+        block = TweetBlock.encode(partitions, self._segment_pool)
+        self._encode_hist.observe(time.perf_counter() - t_encode)
+        self._m_transport_tweets.inc(block.n_bytes)
+        return block
 
-    def _run_partitions(self, state: _BatchState) -> _ExecBundle:
-        """Execute all partition tasks for one batch (no engine-state
-        mutation beyond counters — a raise here leaves the engine
-        exactly as it was before the batch).
+    def _fold_outputs(
+        self,
+        outputs: Sequence[_PartitionOutput],
+        dropped: Sequence[Tuple[int, TaskOutcome]],
+        partitions: Sequence[List[Tweet]],
+    ) -> Tuple[int, int, int]:
+        """Fold partition outputs into the driver's confusion matrix,
+        registry, profile and dead-letter queue (op #6).
 
-        Thread-agnostic: runs inline on the driver for the synchronous
-        path, on the pipeline submit thread otherwise. It must not
-        touch the driver tracer or any state the driver mutates during
-        merge/finalize; everything batch-specific rides on ``state``.
+        Returns ``(n_labeled, n_unlabeled, n_poisoned)``. A dropped
+        partition is quarantined as one partition-grain poison record
+        and its tweets count as poisoned, so the driver's accounting
+        (``n_processed + n_quarantined == ingested``) stays exact
+        without per-tweet records.
         """
-        t_start = time.perf_counter()
-        dropped: List[Tuple[int, TaskOutcome]] = []
-        exec_stats: Optional[_ExecStats] = None
-        indexed_outputs: List[Optional[_PartitionOutput]]
-        if self.partition_deadline_s is not None:
-            maybe_outputs, dropped, exec_stats = self._execute_partitioned(
-                state.block.slices, state.broadcast, state.batch_tier
-            )
-            # Dropped partitions leave holes; merging the survivors
-            # in partition order keeps the merge sequence (and thus
-            # the model state) deterministic.
-            outputs = [o for o in maybe_outputs if o is not None]
-            retries_used = exec_stats.retries
-            indexed_outputs = maybe_outputs
-        else:
-            outputs, retries_used = self._execute_with_retry(
-                state.block.slices, state.broadcast, state.batch_tier
-            )
-            indexed_outputs = list(outputs)
-        done = time.perf_counter()
-        return _ExecBundle(
-            outputs=outputs,
-            indexed_outputs=indexed_outputs,
-            dropped=dropped,
-            exec_stats=exec_stats,
-            retries_used=retries_used,
-            execute_seconds=done - t_start,
-            done_at=done,
-        )
-
-    def _merge_batch(self, state: _BatchState) -> None:
-        """Driver-thread merge of a fully-resolved batch (ops #3/#6).
-
-        Must run before the *next* batch is prepared: the next
-        broadcast snapshots the merged model/normalizer/BoW, and the
-        overload controller's adopted sizes apply from here. Recycles
-        the batch's tweet block — safe now that every retry and
-        speculative attempt has resolved.
-        """
-        bundle = state.bundle
-        assert bundle is not None
-        state.block.close()
-        outputs = bundle.outputs
-        # One encode per batch (the payload is cached across retries);
-        # serial/threads runners never pickle, so the field stays None.
-        broadcast = state.broadcast
-        if broadcast.encode_seconds is not None:
-            self.metrics.histogram(
-                "broadcast_encode_seconds", engine="microbatch"
-            ).observe(broadcast.encode_seconds)
-            self._m_transport_broadcast.inc(broadcast.payload_bytes or 0)
-
-        with self._tracer.span("model_merge") as span_model:
-            self._combine_models(
-                [o.local_model for o in outputs if o.local_model]
-            )
-
-        with self._tracer.span("bow_absorb") as span_bow:
-            if isinstance(self.bag_of_words, AdaptiveBagOfWords):
-                for output in outputs:
-                    if output.bow_delta is not None:
-                        self.bag_of_words.absorb(output.bow_delta)
-                self.bag_of_words.maintain()
-
-        with self._tracer.span("normalizer_merge") as span_normalizer:
-            for output in outputs:
-                self.normalizer.merge(output.local_normalizer)
-
-        state.model_merge_s = span_model.duration or 0.0
-        state.bow_absorb_s = span_bow.duration or 0.0
-        state.normalizer_merge_s = span_normalizer.duration or 0.0
-
-    def _adopt_controller(
-        self, elapsed: float, exec_stats: Optional[_ExecStats]
-    ) -> None:
-        """Report a batch to the overload controller and adopt its
-        (possibly resized) batch size and partition count for the next
-        discretization round."""
-        if self.controller is None:
-            return
-        queue = self.controller.queue
-        self.controller.observe_batch(
-            elapsed,
-            queue_fraction=(
-                queue.depth_fraction if queue is not None else None
-            ),
-            n_stragglers=(
-                exec_stats.n_stragglers if exec_stats is not None else 0
-            ),
-        )
-        self.batch_size = self.controller.batch_size
-        if self.controller.n_partitions is not None:
-            self.n_partitions = self.controller.n_partitions
-
-    def _finalize_batch(
-        self, state: _BatchState, observe_controller: bool = True
-    ) -> MicroBatchResult:
-        """Fold a merged batch's outputs into driver-side state.
-
-        Everything after the three merges: confusion/counter folds,
-        dead-letter quarantine, the alert/sample drain, metrics,
-        trace stitching, recorder/breaker/on_batch. In pipelined mode
-        this overlaps the next batch's partition execution
-        (``observe_controller=False`` there — the controller already
-        observed at merge time, before the next batch was sized).
-        """
-        bundle = state.bundle
-        assert bundle is not None
-        outputs = bundle.outputs
-        indexed_outputs = bundle.indexed_outputs
-        dropped = bundle.dropped
-        exec_stats = bundle.exec_stats
-        retries_used = bundle.retries_used
-        batch_tier = state.batch_tier
-        n_tweets = state.n_tweets
-
         n_labeled = 0
         n_unlabeled = 0
         n_poisoned = 0
@@ -1632,13 +1423,7 @@ class MicroBatchEngine:
                             batch_index=len(self.batches),
                         )
                     )
-
         if dropped and self.dead_letters is not None:
-            # Partition-grain quarantine: one poison record per dropped
-            # partition; its tweets count as poisoned so the driver's
-            # accounting (n_processed + n_quarantined == ingested)
-            # stays exact without per-tweet records.
-            partitions = state.partitions
             for index, outcome in dropped:
                 n_poisoned += len(partitions[index])
                 self._m_partition_quarantined.inc(len(partitions[index]))
@@ -1655,7 +1440,124 @@ class MicroBatchEngine:
                         batch_index=len(self.batches),
                     )
                 )
+        return n_labeled, n_unlabeled, n_poisoned
 
+    def _record_batch(
+        self, result: MicroBatchResult, exec_stats: Optional[_ExecStats]
+    ) -> None:
+        """One flight-recorder ring entry per batch; quarantines and
+        pool rebuilds additionally dump the ring, so the post-mortem
+        has the batches leading up to the incident."""
+        recorder = self.recorder
+        if recorder is None:
+            return
+        recorder.event(
+            "batch",
+            batch_index=result.batch_index,
+            n_processed=result.n_processed,
+            n_quarantined=result.n_quarantined,
+            elapsed_s=result.elapsed_seconds,
+            f1=result.cumulative_f1,
+            degrade_tier=result.degrade_tier,
+        )
+        if result.n_quarantined:
+            recorder.event(
+                "quarantine",
+                batch_index=result.batch_index,
+                n_poisoned=result.n_quarantined,
+            )
+            recorder.auto_dump("quarantine")
+        if exec_stats is not None and exec_stats.n_pool_rebuilds:
+            recorder.event(
+                "pool_rebuild",
+                batch_index=result.batch_index,
+                n_rebuilds=exec_stats.n_pool_rebuilds,
+            )
+            recorder.auto_dump("pool_rebuild")
+
+    def process_batch(self, tweets: Sequence[Tweet]) -> MicroBatchResult:
+        """Run one micro-batch through the Fig. 2 dataflow.
+
+        Prepare (broadcast snapshot, partitioning, tweet transport) →
+        execute the partition tasks → merge the local models, BoW
+        deltas and normalizer statistics → finalize (confusion and
+        counter folds, quarantine, the alert/sample drain, metrics,
+        trace, controller, recorder, breaker, ``on_batch``).
+
+        Raises:
+            repro.engine.runners.PartitionError: if any partition task
+                fails fatally, or transiently with retries exhausted (or
+                no ``retry_policy`` configured). No engine state is
+                mutated in that case: all merges happen only after every
+                partition has returned.
+            repro.reliability.deadletter.CircuitOpenError: quarantine
+                is enabled with ``max_poison_rate`` and the stream's
+                cumulative poison rate exceeded it. The batch's merges
+                have completed when this is raised — the breaker is a
+                stop signal, not a rollback.
+
+        With ``partition_deadline_s`` set, partitions are independent
+        fault domains: a partition that exhausts its per-partition
+        retries is quarantined to the dead-letter queue as one
+        partition-grain poison record (its tweets count as poisoned)
+        while its siblings' outputs merge normally, in partition order.
+        """
+        started = time.perf_counter()
+        batch_tier = self.degrade_tier
+        broadcast = self._broadcast_state()
+        partitions = round_robin_partitions(tweets, self.n_partitions)
+        block = self._tweet_block(partitions)
+
+        dropped: List[Tuple[int, TaskOutcome]] = []
+        exec_stats: Optional[_ExecStats] = None
+        indexed_outputs: List[Optional[_PartitionOutput]]
+        try:
+            with self._tracer.span("partition_execute") as span_execute:
+                if self.partition_deadline_s is not None:
+                    indexed_outputs, dropped, exec_stats = (
+                        self._execute_partitioned(
+                            block.slices, broadcast, batch_tier
+                        )
+                    )
+                    retries_used = exec_stats.retries
+                else:
+                    outputs, retries_used = self._execute_with_retry(
+                        block.slices, broadcast, batch_tier
+                    )
+                    indexed_outputs = list(outputs)
+        finally:
+            # Every attempt has resolved, or been abandoned with its
+            # result discarded: the segment can serve the next batch.
+            block.close()
+        # Dropped partitions leave holes; merging the survivors in
+        # partition order keeps the merge sequence (and thus the model
+        # state) deterministic.
+        outputs = [o for o in indexed_outputs if o is not None]
+        # One encode per batch (the payload is cached across retries);
+        # the serial runner never pickles, so the field stays None.
+        if broadcast.encode_seconds is not None:
+            self.metrics.histogram(
+                "broadcast_encode_seconds", engine="microbatch"
+            ).observe(broadcast.encode_seconds)
+            self._m_transport_broadcast.inc(broadcast.payload_bytes or 0)
+
+        with self._tracer.span("model_merge") as span_model:
+            self._combine_models(
+                [o.local_model for o in outputs if o.local_model]
+            )
+        with self._tracer.span("bow_absorb") as span_bow:
+            if isinstance(self.bag_of_words, AdaptiveBagOfWords):
+                for output in outputs:
+                    if output.bow_delta is not None:
+                        self.bag_of_words.absorb(output.bow_delta)
+                self.bag_of_words.maintain()
+        with self._tracer.span("normalizer_merge") as span_normalizer:
+            for output in outputs:
+                self.normalizer.merge(output.local_normalizer)
+
+        n_labeled, n_unlabeled, n_poisoned = self._fold_outputs(
+            outputs, dropped, partitions
+        )
         alerts_before = self.alert_manager.n_alerts
         with self._tracer.span("drain") as span_drain:
             for output in outputs:
@@ -1667,17 +1569,7 @@ class MicroBatchEngine:
         if self.alert_manager.n_alerts > alerts_before:
             self._m_alerts.inc(self.alert_manager.n_alerts - alerts_before)
 
-        timings = StageTimings(
-            partition_execute=(
-                state.execute_span_s
-                if state.execute_span_s is not None
-                else bundle.execute_seconds
-            ),
-            model_merge=state.model_merge_s,
-            bow_absorb=state.bow_absorb_s,
-            normalizer_merge=state.normalizer_merge_s,
-            drain=span_drain.duration or 0.0,
-        )
+        n_tweets = len(tweets)
         self.n_processed += n_tweets - n_poisoned
         self.n_labeled += n_labeled
         self.n_unlabeled += n_unlabeled
@@ -1700,10 +1592,25 @@ class MicroBatchEngine:
         self.last_trace = self._stitch_trace(
             indexed_outputs, dropped, exec_stats
         )
-        elapsed = time.perf_counter() - state.started
+        elapsed = time.perf_counter() - started
         self._batch_hist.observe(elapsed)
-        if observe_controller:
-            self._adopt_controller(elapsed, exec_stats)
+        if self.controller is not None:
+            # Report the batch and adopt the controller's (possibly
+            # resized) batch size and partition count for the next
+            # discretization round.
+            queue = self.controller.queue
+            self.controller.observe_batch(
+                elapsed,
+                queue_fraction=(
+                    queue.depth_fraction if queue is not None else None
+                ),
+                n_stragglers=(
+                    exec_stats.n_stragglers if exec_stats is not None else 0
+                ),
+            )
+            self.batch_size = self.controller.batch_size
+            if self.controller.n_partitions is not None:
+                self.n_partitions = self.controller.n_partitions
         result = MicroBatchResult(
             batch_index=len(self.batches),
             n_processed=n_tweets - n_poisoned,
@@ -1712,209 +1619,25 @@ class MicroBatchEngine:
             elapsed_seconds=elapsed,
             cumulative_f1=self.cumulative.weighted_f1,
             cumulative_accuracy=self.cumulative.accuracy,
-            stage_seconds=timings,
+            stage_seconds=StageTimings(
+                partition_execute=span_execute.duration or 0.0,
+                model_merge=span_model.duration or 0.0,
+                bow_absorb=span_bow.duration or 0.0,
+                normalizer_merge=span_normalizer.duration or 0.0,
+                drain=span_drain.duration or 0.0,
+            ),
             n_quarantined=n_poisoned,
             n_retries=retries_used,
             degrade_tier=int(batch_tier),
         )
         self.batches.append(result)
-        if self.recorder is not None:
-            # One ring entry per batch; incidents additionally dump the
-            # ring so the post-mortem has the batches leading up to it.
-            self.recorder.event(
-                "batch",
-                batch_index=result.batch_index,
-                n_processed=result.n_processed,
-                n_quarantined=n_poisoned,
-                elapsed_s=elapsed,
-                f1=result.cumulative_f1,
-                degrade_tier=int(batch_tier),
-            )
-            if n_poisoned:
-                self.recorder.event(
-                    "quarantine",
-                    batch_index=result.batch_index,
-                    n_poisoned=n_poisoned,
-                )
-                self.recorder.auto_dump("quarantine")
-            if exec_stats is not None and exec_stats.n_pool_rebuilds:
-                self.recorder.event(
-                    "pool_rebuild",
-                    batch_index=result.batch_index,
-                    n_rebuilds=exec_stats.n_pool_rebuilds,
-                )
-                self.recorder.auto_dump("pool_rebuild")
+        self._record_batch(result, exec_stats)
         if self.breaker is not None:
             self.breaker.record_batch(n_tweets - n_poisoned, n_poisoned)
             self.breaker.check()
         if self.on_batch is not None:
             self.on_batch(result)
         return result
-
-    def process_batch(self, tweets: Sequence[Tweet]) -> MicroBatchResult:
-        """Run one micro-batch through the Fig. 2 dataflow, synchronously.
-
-        Raises:
-            repro.engine.runners.PartitionError: if any partition task
-                fails fatally, or transiently with retries exhausted (or
-                no ``retry_policy`` configured). No engine state is
-                mutated in that case: all merges happen only after every
-                partition has returned.
-            repro.reliability.deadletter.CircuitOpenError: quarantine
-                is enabled with ``max_poison_rate`` and the stream's
-                cumulative poison rate exceeded it. The batch's merges
-                have completed when this is raised — the breaker is a
-                stop signal, not a rollback.
-
-        With ``partition_deadline_s`` set, partitions are independent
-        fault domains: a partition that exhausts its per-partition
-        retries is quarantined to the dead-letter queue as one
-        partition-grain poison record (its tweets count as poisoned)
-        while its siblings' outputs merge normally, in partition order.
-
-        A pipelined in-flight batch (from :meth:`submit_batch`) is
-        drained first, so mixing the two entry points never interleaves
-        two batches' merges.
-        """
-        if self._inflight is not None:
-            self.drain()
-        state = self._prepare_batch(tweets)
-        with self._tracer.span("partition_execute") as span_execute:
-            state.bundle = self._run_partitions(state)
-        state.execute_span_s = span_execute.duration or 0.0
-        self._merge_batch(state)
-        return self._finalize_batch(state)
-
-    # ------------------------------------------------------------------
-    # Pipelined execution (double-buffered batches)
-    # ------------------------------------------------------------------
-
-    def submit_batch(
-        self, tweets: Sequence[Tweet]
-    ) -> Optional[MicroBatchResult]:
-        """Pipelined submission: launch this batch, finalize the last.
-
-        The driver awaits the previous in-flight batch, merges it (so
-        this batch's broadcast sees the merged model/normalizer/BoW and
-        the controller's adopted sizes), launches this batch's
-        partition execution on the submit thread, and only *then* runs
-        the previous batch's finalize — the per-record alert/sample
-        drain and telemetry folds overlap this batch's compute.
-
-        Returns the previous batch's :class:`MicroBatchResult`, or
-        ``None`` on the first submission (call :meth:`drain` for the
-        final batch's result). A partition failure in batch *k*
-        surfaces here on submission *k+1* (with the new tweets left
-        unprocessed) or on :meth:`drain`; the engine's
-        no-half-applied-merge guarantee is unchanged.
-        """
-        prev = self._inflight
-        self._inflight = None
-        if prev is not None:
-            self._await(prev)
-            self._merge_batch(prev)
-            assert prev.bundle is not None
-            self._adopt_controller(
-                time.perf_counter() - prev.started, prev.bundle.exec_stats
-            )
-        state = self._prepare_batch(tweets)
-        self._launch(state)
-        self._inflight = state
-        if prev is None:
-            return None
-        return self._finalize_batch(prev, observe_controller=False)
-
-    def drain(self) -> Optional[MicroBatchResult]:
-        """Finish the in-flight pipelined batch, if any.
-
-        Awaits, merges and finalizes it on the calling (driver) thread;
-        afterwards the engine state is exactly what a synchronous run
-        over the same batches would have produced. Safe to call when
-        nothing is in flight (returns ``None``) — checkpointers call it
-        unconditionally before snapshotting.
-        """
-        state = self._inflight
-        if state is None:
-            return None
-        self._inflight = None
-        self._await(state)
-        self._merge_batch(state)
-        assert state.bundle is not None
-        self._adopt_controller(
-            time.perf_counter() - state.started, state.bundle.exec_stats
-        )
-        return self._finalize_batch(state, observe_controller=False)
-
-    def _await(self, state: _BatchState) -> None:
-        """Block until a launched batch's execution resolves.
-
-        The blocked time is the driver's pipeline stall — published as
-        ``driver_idle_seconds`` (zero when the workers finished before
-        the driver came back for the result).
-        """
-        assert state.future is not None
-        t_wait = time.perf_counter()
-        try:
-            state.bundle = state.future.result()
-        finally:
-            self._pipeline_fill.set(0)
-        self._driver_idle_hist.observe(time.perf_counter() - t_wait)
-
-    def _launch(self, state: _BatchState) -> None:
-        """Hand a prepared batch to the submit thread.
-
-        The gap since the previous batch's last partition resolved is
-        the workers' pipeline stall — published as
-        ``worker_idle_seconds`` (the driver-side merge/prepare time the
-        pipeline failed to hide).
-        """
-        if self._submit_pool is None:
-            self._submit_pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="microbatch-pipeline"
-            )
-        if self._last_execute_done is not None:
-            self._worker_idle_hist.observe(
-                max(0.0, time.perf_counter() - self._last_execute_done)
-            )
-        state.future = self._submit_pool.submit(self._execute_async, state)
-        self._pipeline_fill.set(1)
-
-    def _execute_async(self, state: _BatchState) -> _ExecBundle:
-        """Submit-thread body: run the partitions, book execute time.
-
-        Never touches the driver tracer (its span stack is
-        single-threaded); the stage histogram is observed directly, so
-        ``StageTimings.from_registry`` sees pipelined execute time too.
-        All other metric writes on this path (partition_seconds,
-        partition_timeouts_total, retry counters) are disjoint from the
-        keys the driver thread writes during merge/finalize.
-        """
-        bundle = self._run_partitions(state)
-        self._stage_execute_hist.observe(bundle.execute_seconds)
-        self._last_execute_done = bundle.done_at
-        return bundle
-
-    def _abort_inflight(self) -> None:
-        """Discard the in-flight batch (close/crash path).
-
-        Cancels the submitted work if it has not started; otherwise
-        waits a bounded moment for the submit thread (it is using the
-        runner this close is about to tear down), then abandons it —
-        its results are discarded either way, so engine state stays
-        exactly at the last finalized batch.
-        """
-        state = self._inflight
-        if state is None:
-            return
-        self._inflight = None
-        if state.future is not None:
-            state.future.cancel()
-            try:
-                state.future.result(timeout=30.0)
-            except Exception:
-                pass
-        state.block.close()
-        self._pipeline_fill.set(0)
 
     def run(self, tweets: Iterable[Tweet]) -> EngineResult:
         """Discretize a stream into micro-batches and process them all.
@@ -1926,25 +1649,17 @@ class MicroBatchEngine:
         closed before the exception propagates, so a crashed run can
         never leak a process pool (pooled runners rebuild lazily if the
         engine is reused afterwards).
-
-        With ``pipelined=True`` batches flow through
-        :meth:`submit_batch` (merge/drain of batch *k* overlapping the
-        execution of batch *k+1*) and the last batch is drained before
-        the result snapshot — callers see identical totals either way.
         """
         start = time.perf_counter()
-        submit = self.submit_batch if self.pipelined else self.process_batch
         try:
             batch: List[Tweet] = []
             for tweet in tweets:
                 batch.append(tweet)
                 if len(batch) >= self.batch_size:
-                    submit(batch)
+                    self.process_batch(batch)
                     batch = []
             if batch:
-                submit(batch)
-            if self.pipelined:
-                self.drain()
+                self.process_batch(batch)
         except BaseException as exc:
             if self.recorder is not None:
                 self.recorder.event("crash", error=repr(exc))

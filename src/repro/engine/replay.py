@@ -451,7 +451,6 @@ def run_chaos_scenario(
     slow_s: float = 0.25,
     max_rebuilds_per_run: int = 1,
     flight_dir: Optional[str] = None,
-    pipelined: bool = False,
 ) -> ChaosReport:
     """Drive a micro-batch run through a seeded partition-fault storm.
 
@@ -478,11 +477,6 @@ def run_chaos_scenario(
     to the engine: every quarantine / pool rebuild / crash during the
     storm dumps the recent-event ring as JSONL into that directory, and
     the report lists the dump files.
-
-    ``pipelined`` runs the storm through the engine's double-buffered
-    path — the chaos suite asserts its digest matches the synchronous
-    (and fault-free) runs, pinning the overlap as bit-exact under
-    faults too.
     """
     from repro.core.config import PipelineConfig
     from repro.engine.microbatch import MicroBatchEngine
@@ -546,7 +540,6 @@ def run_chaos_scenario(
         partition_deadline_s=partition_deadline_s,
         speculate=speculate,
         recorder=recorder,
-        pipelined=pipelined,
     )
     started = time.perf_counter()
     try:

@@ -1,12 +1,10 @@
-"""Partition-task executors: serial, thread pool, process pool.
+"""Partition-task executors: serial and process pool.
 
 A runner executes a list of zero-argument callables (one per data
 partition) and returns their results in order. ``SerialRunner`` is the
-reference; ``ThreadPoolRunner`` overlaps partitions on threads (limited
-by the GIL for pure-Python stages, included for API parity and for
-I/O-bound sources); ``ProcessPoolRunner`` achieves real multi-core
-execution at the price of pickling the task closures, mirroring
-Spark's executor processes.
+reference; ``ProcessPoolRunner`` achieves real multi-core execution at
+the price of pickling the task closures, mirroring Spark's executor
+processes.
 
 A task that raises is re-raised as :class:`PartitionError` carrying the
 partition index, so failures in pooled workers stay attributable. The
@@ -57,7 +55,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
@@ -82,7 +79,7 @@ R = TypeVar("R")
 
 Task = Callable[[], R]
 
-RUNNER_KINDS = ("serial", "threads", "processes")
+RUNNER_KINDS = ("serial", "processes")
 
 
 class TransientWorkerError(RuntimeError):
@@ -371,7 +368,7 @@ class StateBroadcast:
     broadcast object to every partition task. Four properties make
     this cheap:
 
-    * **Serial/thread runners** never pickle the task, so
+    * **The serial runner** never pickles the task, so
       :meth:`value` returns the live payload object directly — tasks
       must treat it as read-only (they already must, since sibling
       partitions share it).
@@ -427,7 +424,7 @@ class StateBroadcast:
     def encode_seconds(self) -> Optional[float]:
         """Seconds spent pickling the payload (driver side, once per
         version); ``None`` until :meth:`_encode` has run — i.e. under
-        serial/thread runners, where the payload is never encoded."""
+        the serial runner, where the payload is never encoded."""
         return self._encode_seconds
 
     @property
@@ -566,23 +563,20 @@ def _round_up_segment(size: int) -> int:
 
 
 class SegmentPool:
-    """Reusable driver-owned shared-memory segments for tweet blocks.
+    """One reusable driver-owned shared-memory segment for tweet blocks.
 
-    A pipelined engine has at most two tweet blocks alive at once (the
-    batch being merged and the batch in flight), so the pool keeps up
-    to ``max_segments`` free segments and hands them back out:
-    segment creation — an mmap plus a resource-tracker registration —
-    happens a handful of times per engine lifetime instead of once per
-    batch. Pooled segments stay registered in the module's live-segment
-    table, so the ``atexit`` sweep still covers a crashed driver, and
-    :meth:`close` unlinks everything the pool holds.
+    The micro-batch engine runs one batch at a time, so only one tweet
+    block is ever alive: the pool keeps the segment the last block
+    released and hands it to the next one. Segment creation — an mmap
+    plus a resource-tracker registration — then happens only when a
+    batch outgrows the pooled segment, not once per batch. The pooled
+    segment stays registered in the module's live-segment table, so the
+    ``atexit`` sweep still covers a crashed driver, and :meth:`close`
+    unlinks it.
     """
 
-    def __init__(self, max_segments: int = 2) -> None:
-        if max_segments < 1:
-            raise ValueError("max_segments must be >= 1")
-        self.max_segments = max_segments
-        self._free: List["shared_memory.SharedMemory"] = []
+    def __init__(self) -> None:
+        self._free: Optional["shared_memory.SharedMemory"] = None
         self._closed = False
 
     def acquire(self, size: int) -> Optional["shared_memory.SharedMemory"]:
@@ -591,11 +585,11 @@ class SegmentPool:
         Returns ``None`` when shared memory is unavailable (no usable
         ``/dev/shm``); callers fall back to inline transport.
         """
-        while self._free:
-            segment = self._free.pop()
+        segment, self._free = self._free, None
+        if segment is not None:
             if segment.size >= size:
                 return segment
-            # Too small to reuse; retire it and keep looking.
+            # Too small to reuse; retire it.
             _release_segment(segment.name)
         try:
             segment = shared_memory.SharedMemory(
@@ -607,23 +601,24 @@ class SegmentPool:
         return segment
 
     def recycle(self, segment: "shared_memory.SharedMemory") -> None:
-        """Return a segment for reuse (or unlink it past the bound)."""
-        if self._closed or len(self._free) >= self.max_segments:
+        """Keep a segment for reuse (or unlink it if one is already kept)."""
+        if self._closed or self._free is not None:
             _release_segment(segment.name)
         else:
-            self._free.append(segment)
+            self._free = segment
 
     def close(self) -> None:
-        """Unlink every pooled segment (idempotent)."""
+        """Unlink the pooled segment (idempotent)."""
         self._closed = True
-        while self._free:
-            _release_segment(self._free.pop().name)
+        segment, self._free = self._free, None
+        if segment is not None:
+            _release_segment(segment.name)
 
 
 class TweetSlice:
     """One partition's tweets, resolvable driver- or worker-side.
 
-    Driver-side (serial/thread runners, where tasks are never pickled)
+    Driver-side (the serial runner, where tasks are never pickled)
     the slice wraps the live partition list and :meth:`resolve` returns
     it unchanged. Under a process runner the driver encodes the whole
     batch once into a :class:`TweetBlock` and each slice pickles to an
@@ -735,9 +730,8 @@ class TweetBlock:
     def live(cls, partitions: Sequence[list]) -> "TweetBlock":
         """A no-transport block: slices wrap the live partition lists.
 
-        Used with runners that never pickle their tasks (serial,
-        threads) — resolution is a pointer dereference and ``n_bytes``
-        stays 0.
+        Used with runners that never pickle their tasks (serial) —
+        resolution is a pointer dereference and ``n_bytes`` stays 0.
         """
         return cls([TweetSlice(live=list(p)) for p in partitions], 0, None, None)
 
@@ -854,8 +848,8 @@ class Runner(abc.ABC):
     def evict_broadcast(self, key: str) -> None:
         """Forget a dead broadcaster's cached payload everywhere.
 
-        The default covers in-process execution (serial/thread runners
-        share this process's cache); pool-backed runners additionally
+        The default covers in-process execution (the serial runner
+        shares this process's cache); pool-backed runners additionally
         ship eviction tasks to their workers.
         """
         evict_broadcast(key)
@@ -872,81 +866,6 @@ class SerialRunner(Runner):
 
     def run(self, tasks: Sequence[Task]) -> List:
         return [_run_task(item) for item in enumerate(tasks)]
-
-
-class ThreadPoolRunner(Runner):
-    """Runs tasks on a shared thread pool."""
-
-    def __init__(self, n_threads: int = 4) -> None:
-        if n_threads < 1:
-            raise ValueError("n_threads must be >= 1")
-        self.n_threads = n_threads
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.n_threads)
-        return self._pool
-
-    def run(self, tasks: Sequence[Task]) -> List:
-        pool = self._ensure_pool()
-        return list(pool.map(_run_task, enumerate(tasks)))
-
-    def run_with_deadline(
-        self,
-        tasks: Sequence[Task],
-        deadline_s: Optional[float] = None,
-        speculate_after: Optional[float] = None,
-    ) -> RunReport:
-        """Threaded variant: enforces the deadline, never speculates.
-
-        Threads cannot be killed, so a timed-out task keeps running in
-        the background — safe because partition tasks are pure — and
-        its eventual result is discarded. Speculating a duplicate onto
-        the same GIL would only slow the straggler down further, so
-        ``speculate_after`` is validated but ignored.
-        """
-        _validate_deadline_args(deadline_s, speculate_after)
-        pool = self._ensure_pool()
-        started = time.perf_counter()
-        futures: Dict[Future, int] = {
-            pool.submit(_run_task, item): item[0]
-            for item in enumerate(tasks)
-        }
-        outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
-        done, pending = wait(list(futures), timeout=deadline_s)
-        for future in done:
-            index = futures[future]
-            duration = time.perf_counter() - started
-            try:
-                result = future.result()
-            except PartitionError as exc:
-                outcomes[index] = TaskOutcome(
-                    index, OUTCOME_FAILED, error=exc, duration_s=duration
-                )
-            else:
-                outcomes[index] = TaskOutcome(
-                    index, OUTCOME_OK, result=result, duration_s=duration
-                )
-        for future in pending:
-            index = futures[future]
-            future.cancel()
-            outcomes[index] = TaskOutcome(
-                index,
-                OUTCOME_TIMED_OUT,
-                error=PartitionError(
-                    index,
-                    f"partition exceeded {deadline_s:.3f}s deadline",
-                    transient=True,
-                ),
-                duration_s=time.perf_counter() - started,
-            )
-        return RunReport(outcomes=[o for o in outcomes if o is not None])
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
 
 
 class ProcessPoolRunner(Runner):
@@ -1281,11 +1200,9 @@ class ProcessPoolRunner(Runner):
 
 
 def make_runner(kind: str, n_workers: int = 4) -> Runner:
-    """Build a runner from a string spec ("serial"/"threads"/"processes")."""
+    """Build a runner from a string spec ("serial"/"processes")."""
     if kind == "serial":
         return SerialRunner()
-    if kind == "threads":
-        return ThreadPoolRunner(n_threads=n_workers)
     if kind == "processes":
         return ProcessPoolRunner(n_processes=n_workers)
     raise ValueError(

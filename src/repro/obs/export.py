@@ -134,9 +134,6 @@ METRIC_HELP: Dict[str, str] = {
     "broadcast_decode_total": "Broadcast reads by resolution source.",
     "tweet_block_encode_seconds": "Seconds encoding the batch tweet block.",
     "transport_bytes_total": "Bytes shipped to workers, by channel.",
-    "pipeline_fill": "In-flight pipelined batches (0 or 1).",
-    "driver_idle_seconds": "Driver seconds blocked awaiting partitions.",
-    "worker_idle_seconds": "Worker seconds idle between pipelined batches.",
     "partition_timeouts_total": "Partitions that blew their deadline.",
     "speculative_launches_total": "Speculative duplicate tasks launched.",
     "speculative_wins_total": "Speculative duplicates that won.",

@@ -68,7 +68,7 @@ class FaultInjector:
     its deadline); ``worker_kill`` terminates the worker process;
     ``slow_partition`` sleeps ``slow_s`` and then runs the task to
     completion. The process-level kinds only make sense under a process
-    runner — on serial/thread runners (same PID as the driver) they
+    runner — on the serial runner (same PID as the driver) they
     downgrade to raising :class:`TransientWorkerError`, because killing
     or hanging the driver would take the test process down with it.
     """
@@ -146,7 +146,7 @@ class _FaultAction:
 
     ``driver_pid`` is captured at build time: the process-level kinds
     (``worker_kill``/``worker_hang``) check it before acting, so a task
-    executed in the driver's own process (serial/thread runners, or a
+    executed in the driver's own process (the serial runner, or a
     fork-sharing edge case) degrades to a transient error instead of
     killing or stalling the driver.
     """

@@ -54,7 +54,6 @@ from repro.core.checkpoint import (
     alert_manager_to_dict,
     atomic_write_json,
     config_to_dict,
-    drain_before_checkpoint,
     normalizer_from_dict,
     normalizer_to_dict,
     pipeline_from_dict,
@@ -205,17 +204,12 @@ def microbatch_engine_to_dict(engine: MicroBatchEngine) -> Dict[str, Any]:
     Mirrors :func:`repro.core.checkpoint.pipeline_to_dict` for the
     engine: model, normalizer, BoW, cumulative confusion matrix, alert
     manager (full audit log), sampler (RNG included), and counters.
-    Runner/pool configuration is *not* state — the resumer chooses it
-    (the pipelined flag is recorded so a resume keeps the mode by
-    default). A pipelined engine is drained first, so the snapshot
-    includes every submitted batch exactly once.
+    Runner/pool configuration is *not* state — the resumer chooses it.
     """
-    drain_before_checkpoint(engine)
     return {
         "engine": "microbatch",
         "n_partitions": engine.n_partitions,
         "batch_size": engine.batch_size,
-        "pipelined": engine.pipelined,
         "config": config_to_dict(engine.config),
         "model": model_to_dict(engine.model),
         "normalizer": normalizer_to_dict(engine.normalizer),
@@ -281,7 +275,6 @@ def microbatch_engine_from_dict(
     engine.n_quarantined = int(counters["n_quarantined"])
     engine.n_retries = int(counters["n_retries"])
     engine.batches = [_batch_result_from_dict(b) for b in payload["batches"]]
-    engine.pipelined = bool(payload.get("pipelined", False))
     _seed_registry_from_counters(engine)
     return engine
 
@@ -502,17 +495,10 @@ class StreamSupervisor:
         return self.checkpoint_dir / CHECKPOINT_FILENAME
 
     def write_checkpoint(self) -> Optional[int]:
-        """Atomically persist supervisor + engine state; returns bytes.
-
-        A pipelined engine is drained first: the cursor already counts
-        the in-flight batch's tweets, so the snapshot must include its
-        merges — drain-then-write is what makes checkpoint/resume
-        exactly-once under pipelining.
-        """
+        """Atomically persist supervisor + engine state; returns bytes."""
         path = self.checkpoint_path
         if path is None:
             return None
-        drain_before_checkpoint(self.engine)
         self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
         payload = {
             "supervisor_version": SUPERVISOR_CHECKPOINT_VERSION,
@@ -1142,14 +1128,7 @@ class StreamSupervisor:
 
     def _process_chunk(self, chunk: List[Tweet]) -> None:
         if isinstance(self.engine, MicroBatchEngine):
-            if self.engine.pipelined:
-                # Overlapped: the previous chunk finalizes while this
-                # one computes; write_checkpoint/_finish drain, so
-                # every per-chunk cut below still sees settled state
-                # for all *finalized* chunks.
-                self.engine.submit_batch(chunk)
-            else:
-                self.engine.process_batch(chunk)
+            self.engine.process_batch(chunk)
         else:
             self.engine.process_many(chunk)
         self._after_chunk()
@@ -1188,7 +1167,6 @@ class StreamSupervisor:
 
     def _finish(self) -> SupervisedRun:
         """Final health/telemetry/result assembly shared by both runs."""
-        drain_before_checkpoint(self.engine)
         if self.console is not None:
             # Last frame unthrottled: the final counts always land.
             self.console.tick(

@@ -24,7 +24,9 @@ from repro.engine.microbatch import MicroBatchEngine
 from repro.engine.runners import (
     BROADCAST_CACHE_MAX,
     ProcessPoolRunner,
+    SegmentPool,
     StateBroadcast,
+    TweetBlock,
     broadcast_cache_size,
     live_segment_names,
 )
@@ -120,6 +122,33 @@ class TestSegmentLifecycle:
             # Serial runner never pickles the broadcast.
             assert _new_live(_stale_segments) == set()
         assert _shm_names() == before
+
+
+class TestTweetBlockSegment:
+    def test_pool_keeps_one_segment_and_unlinks_on_close(
+        self, _stale_segments
+    ):
+        pool = SegmentPool()
+        block = TweetBlock.encode([["a"] * 10, ["b"] * 10], pool)
+        shipped = pickle.loads(pickle.dumps(block.slices))
+        assert [s.resolve() for s in shipped] == [["a"] * 10, ["b"] * 10]
+        block.close()
+        kept = _new_live(_stale_segments)
+        assert len(kept) == 1
+        # The next batch reuses the pooled segment.
+        TweetBlock.encode([["c"]], pool).close()
+        assert _new_live(_stale_segments) == kept
+        # A batch that outgrows it retires it for a bigger one.
+        big = TweetBlock.encode([["x" * 200_000]], pool)
+        assert len(_new_live(_stale_segments)) == 1
+        assert _new_live(_stale_segments) != kept
+        # Only one segment is kept: a second block's is unlinked.
+        other = TweetBlock.encode([["y"]], pool)
+        big.close()
+        other.close()
+        assert len(_new_live(_stale_segments)) == 1
+        pool.close()
+        assert _new_live(_stale_segments) == set()
 
 
 class TestBoundedWorkerCache:

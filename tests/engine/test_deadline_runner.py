@@ -7,7 +7,7 @@ batch" into per-partition fault domains: every task gets a
 attempt (first finisher wins), and a dead worker breaks only the
 *pool* — completed siblings keep their results and only the unresolved
 partitions are re-run against a rebuilt pool. These tests pin that
-contract on all three runner kinds, plus the shared-memory hygiene
+contract on both runner kinds, plus the shared-memory hygiene
 guarantee: a worker killed mid-batch never strands a broadcast
 segment.
 """
@@ -30,7 +30,6 @@ from repro.engine.runners import (
     PartitionError,
     ProcessPoolRunner,
     SerialRunner,
-    ThreadPoolRunner,
     TransientWorkerError,
     live_segment_names,
 )
@@ -170,25 +169,6 @@ class TestSerialOutcomes:
             )
 
 
-class TestThreadDeadline:
-    def test_timeout_classifies_straggler_and_keeps_siblings(self):
-        with ThreadPoolRunner(n_threads=2) as runner:
-            report = runner.run_with_deadline(
-                [_Return("fast"), _Sleep(0.6, "slow")], deadline_s=0.15
-            )
-            fast, slow = report.outcomes
-            assert fast.ok and fast.result == "fast"
-            assert slow.status == OUTCOME_TIMED_OUT
-            assert slow.retryable
-            assert slow.error is not None and slow.error.transient
-            assert "deadline" in slow.error.message
-
-    def test_no_deadline_behaves_like_run(self):
-        with ThreadPoolRunner(n_threads=2) as runner:
-            report = runner.run_with_deadline([_Return(1), _Return(2)])
-            assert report.ok and report.results() == [1, 2]
-
-
 class TestProcessDeadline:
     def test_all_ok_under_generous_deadline(self):
         with ProcessPoolRunner(n_processes=2) as runner:
@@ -198,6 +178,9 @@ class TestProcessDeadline:
             assert report.ok
             assert report.results() == [10, 20, 30]
             assert all(o.duration_s >= 0.0 for o in report.outcomes)
+            # No deadline behaves like run().
+            report = runner.run_with_deadline([_Return(1), _Return(2)])
+            assert report.ok and report.results() == [1, 2]
 
     def test_timeout_abandons_hung_worker_and_counts_rebuild(self):
         with ProcessPoolRunner(n_processes=2) as runner:
@@ -205,8 +188,10 @@ class TestProcessDeadline:
                 [_Return("fast"), _Sleep(10.0, "slow")], deadline_s=0.4
             )
             fast, slow = report.outcomes
-            assert fast.ok
+            assert fast.ok and fast.result == "fast"
             assert slow.status == OUTCOME_TIMED_OUT and slow.retryable
+            assert slow.error is not None and slow.error.transient
+            assert "deadline" in slow.error.message
             # The straggler's worker was still grinding: the pool was
             # abandoned (workers terminated) rather than handed over
             # busy, and that counts as a rebuild.

@@ -13,8 +13,8 @@ from repro.engine.microbatch import (
     MicroBatchEngine,
     StageTimings,
     _PartitionOutput,
+    round_robin_partitions,
 )
-from repro.engine.runners import ThreadPoolRunner
 
 
 class TestExecution:
@@ -221,15 +221,13 @@ class TestAdaptiveBow:
         assert len(engine.bag_of_words) > 347
 
 
-class TestThreadedExecution:
-    def test_thread_runner_same_shape(self, small_stream):
-        with ThreadPoolRunner(n_threads=4) as runner:
-            engine = MicroBatchEngine(
-                PipelineConfig(n_classes=2),
-                n_partitions=4,
-                batch_size=500,
-                runner=runner,
-            )
-            result = engine.run(small_stream)
-        assert result.n_processed == len(small_stream)
-        assert 0.0 <= result.metrics["f1"] <= 1.0
+class TestRoundRobinPartitions:
+    def test_round_robin_partitioning(self):
+        assert round_robin_partitions([1, 2, 3, 4, 5], 2) == [[1, 3, 5], [2, 4]]
+
+    def test_invalid_partitions(self):
+        with pytest.raises(ValueError):
+            round_robin_partitions([1], 0)
+
+    def test_more_partitions_than_items(self):
+        assert round_robin_partitions([1], 4) == [[1], [], [], []]

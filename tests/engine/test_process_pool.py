@@ -9,11 +9,12 @@ results match serial execution.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.core.config import PipelineConfig
 from repro.engine.microbatch import MicroBatchEngine
-from repro.engine.rdd import parallelize
 from repro.engine.runners import ProcessPoolRunner
 
 
@@ -22,12 +23,10 @@ class TestProcessPoolRunner:
         with pytest.raises(ValueError):
             ProcessPoolRunner(n_processes=0)
 
-    def test_rdd_map_across_processes(self):
+    def test_tasks_map_across_processes(self):
         with ProcessPoolRunner(n_processes=2) as runner:
-            rdd = parallelize(list(range(100)), 4, runner=runner)
-            assert sorted(rdd.map(_square).collect()) == [
-                i * i for i in range(100)
-            ]
+            tasks = [partial(_square, i) for i in range(100)]
+            assert runner.run(tasks) == [i * i for i in range(100)]
 
     def test_microbatch_engine_on_processes(self, small_stream):
         with ProcessPoolRunner(n_processes=2) as runner:

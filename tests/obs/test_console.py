@@ -76,6 +76,17 @@ class TestDraw:
         assert console.draw({"processed": 3}, force=True) is True
         assert console.n_frames == 2
 
+    def test_first_frame_draws_soon_after_clock_origin(self, monkeypatch):
+        # time.monotonic() counts from an arbitrary origin (often boot):
+        # a clock reading smaller than the throttle interval must still
+        # let the first frame through.
+        monkeypatch.setattr("repro.obs.console.time.monotonic", lambda: 5.0)
+        stream = io.StringIO()
+        console = OpsConsole(stream=stream, min_interval_s=60.0)
+        assert console.draw({"processed": 1}) is True
+        assert console.draw({"processed": 2}) is False
+        assert console.n_frames == 1
+
     def test_broken_pipe_disables_console_permanently(self):
         console = OpsConsole(stream=_BrokenStream(), min_interval_s=0.0)
         assert console.draw({"processed": 1}) is False

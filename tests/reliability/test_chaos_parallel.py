@@ -130,24 +130,35 @@ class TestSlowPartition:
         self, chaos_tweets
     ):
         # A straggler that merely runs late (well inside the deadline)
-        # needs no recovery at all: no retries, no rebuilds, same state.
+        # needs no recovery at all: no retries, no rebuilds, same state —
+        # also when a pool speculates a duplicate attempt past it.
         tweets = chaos_tweets[:600]
         clean = run_chaos_scenario(
             tweets, every_n_calls=0, runner="serial", batch_size=300
         )
-        faulted = run_chaos_scenario(
-            tweets,
-            fault_kind="slow_partition",
-            every_n_calls=2,
-            runner="serial",
-            batch_size=300,
-            slow_s=0.05,
-        )
-        assert faulted.n_injected >= 1
-        assert faulted.n_retries == 0
-        assert faulted.n_partition_timeouts == 0
-        assert faulted.n_quarantined == 0
-        assert faulted.model_digest == clean.model_digest
+        for scenario in (
+            {"runner": "serial", "slow_s": 0.05},
+            {
+                "runner": "processes",
+                "slow_s": 1.0,
+                "partition_deadline_s": 8.0,
+                "speculate": 0.05,
+            },
+        ):
+            faulted = run_chaos_scenario(
+                tweets,
+                fault_kind="slow_partition",
+                every_n_calls=2,
+                batch_size=300,
+                **scenario,
+            )
+            assert faulted.n_injected >= 1
+            assert faulted.n_retries == 0
+            assert faulted.n_partition_timeouts == 0
+            assert faulted.n_quarantined == 0
+            assert faulted.model_digest == clean.model_digest
+            if "speculate" in scenario:
+                assert faulted.n_speculative_launches >= 1
 
 
 class TestScenarioValidation:

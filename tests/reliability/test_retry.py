@@ -6,6 +6,7 @@ import pytest
 
 from repro.data.synthetic import AbusiveDatasetGenerator
 from repro.engine.microbatch import MicroBatchEngine
+from repro.engine.replay import model_state_digest
 from repro.engine.runners import PartitionError, SerialRunner
 from repro.reliability import FaultInjectingRunner, FaultInjector, RetryPolicy
 
@@ -73,6 +74,9 @@ class TestEngineRetry:
         assert result.metrics == clean_result.metrics
         assert result.n_processed == clean_result.n_processed
         assert engine.alert_manager.alerts == clean.alert_manager.alerts
+        assert model_state_digest(engine.model) == model_state_digest(
+            clean.model
+        )
 
     def test_fatal_failure_is_not_retried(self):
         injector = FaultInjector(schedule={0: [0]}, transient=False)

@@ -1,13 +1,17 @@
 """Stream supervision: quarantine, checkpoint-resume, chaos equivalence."""
 
+import gzip
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.core.checkpoint import atomic_write_json
+from repro.core.config import PipelineConfig
 from repro.core.pipeline import AggressionDetectionPipeline
 from repro.data.synthetic import AbusiveDatasetGenerator
 from repro.engine.microbatch import MicroBatchEngine
+from repro.engine.replay import model_state_digest
 from repro.engine.runners import SerialRunner
 from repro.engine.sequential import SequentialEngine
 from repro.reliability import (
@@ -19,6 +23,14 @@ from repro.reliability import (
     StreamSupervisor,
     corrupting_stream,
     corruption_mask,
+)
+from repro.reliability.supervisor import microbatch_engine_to_dict
+
+#: Version-5 supervisor checkpoint written by the double-buffered
+#: micro-batch mode that has since been removed: small_stream[:800],
+#: 3 partitions x 200-tweet chunks, crashed after the cursor reached 400.
+LEGACY_CHECKPOINT = (
+    Path(__file__).parent / "data" / "supervisor_v5_double_buffered.json.gz"
 )
 
 
@@ -123,11 +135,54 @@ class TestCheckpointResume:
                 == baseline_engine.alert_manager.alerts
             )
             assert len(resumed.engine.batches) == len(baseline_engine.batches)
+            assert model_state_digest(resumed.engine.model) == (
+                model_state_digest(baseline_engine.model)
+            )
         else:
             assert (
                 resumed.engine.pipeline.alert_manager.alerts
                 == baseline_engine.pipeline.alert_manager.alerts
             )
+            assert model_state_digest(resumed.engine.pipeline.model) == (
+                model_state_digest(baseline_engine.pipeline.model)
+            )
+
+    def test_resumes_checkpoint_of_double_buffered_engine(
+        self, tmp_path, small_stream
+    ):
+        """A v5 checkpoint from the removed double-buffered mode (its
+        engine section carries a mode flag this reader ignores) resumes
+        on the synchronous path and matches an uninterrupted run."""
+        tweets = small_stream[:800]
+        baseline_engine = MicroBatchEngine(
+            PipelineConfig(n_classes=2), n_partitions=3, batch_size=200
+        )
+        baseline = StreamSupervisor(
+            baseline_engine, checkpoint_every=1, chunk_size=200
+        ).run(tweets)
+
+        legacy_dir = tmp_path / "legacy"
+        legacy_dir.mkdir()
+        with gzip.open(LEGACY_CHECKPOINT, "rb") as handle:
+            raw = handle.read()
+        (legacy_dir / "checkpoint.json").write_bytes(raw)
+        payload = json.loads(raw)
+        assert payload["supervisor_version"] == 5
+        assert payload["cursor"] == 400
+
+        resumed = StreamSupervisor.resume(legacy_dir, checkpoint_every=1)
+        # The fixture really is the older layout: its engine section has
+        # a key today's writer no longer emits.
+        assert set(payload["engine"]) - set(
+            microbatch_engine_to_dict(resumed.engine)
+        )
+        rerun = resumed.run(tweets)
+        assert rerun.result.metrics == baseline.result.metrics
+        assert rerun.health.n_processed == baseline.health.n_processed
+        assert len(resumed.engine.batches) == len(baseline_engine.batches)
+        assert model_state_digest(resumed.engine.model) == (
+            model_state_digest(baseline_engine.model)
+        )
 
     def test_resume_of_finished_run_is_noop(self, tmp_path):
         tweets = _tweets(200)

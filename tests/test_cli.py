@@ -71,7 +71,7 @@ class TestRunAndClassify:
         model_path = tmp_path / "mb_model.json"
         assert main([
             "run", str(dataset), "--engine", "microbatch",
-            "--runner", "threads", "--workers", "2",
+            "--runner", "processes", "--workers", "2",
             "--save-model", str(model_path),
         ]) == 0
         assert model_path.exists()
