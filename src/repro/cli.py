@@ -5,8 +5,9 @@ Subcommands:
 * ``generate`` — write a synthetic dataset to a JSONL file;
 * ``run`` — run the detection pipeline over a JSONL stream and report
   prequential metrics (optionally saving the trained model);
-* ``classify`` — classify a JSONL stream with a saved model, writing
-  one prediction per line;
+* ``classify`` — classify a JSONL stream with a saved model (a snapshot
+  file from ``run --save-model``), scoring each tweet exactly as
+  ``serve`` does and writing one prediction per line;
 * ``simulate`` — project execution time/throughput for the paper's
   cluster configurations with the calibrated cost model;
 * ``serve`` — answer ``classify``/``explain`` requests over HTTP and
@@ -42,7 +43,6 @@ from repro.engine.cluster import PAPER_SPECS, CostModel, SimulatedCluster
 from repro.obs.export import TelemetrySink, write_exposition
 from repro.obs.logconfig import configure_logging, get_logger
 from repro.obs.metrics import MetricsRegistry
-from repro.streamml.serialize import load_model, save_model
 
 logger = get_logger("cli")
 
@@ -111,8 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=_positive_int, default=None,
                      help="pool size for --runner processes "
                      "(default: --partitions)")
-    run.add_argument("--save-model", default=None,
-                     help="write the trained model to this JSON path")
+    run.add_argument("--save-model", dest="model_file", default=None,
+                     help="write the trained scoring state (a snapshot "
+                     "file for 'classify') to this path")
     run.add_argument("--report", default=None,
                      help="write a markdown run report to this path "
                      "(sequential engine only)")
@@ -271,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "(created if missing)")
     publish.add_argument("--from-checkpoint", required=True,
                          metavar="PATH",
-                         help="supervisor checkpoint directory or a "
-                         "checkpoint/pipeline JSON file to publish from")
+                         help="supervisor checkpoint directory (newest "
+                         "verified file) or one checkpoint file")
     publish.add_argument("--keep", type=_positive_int, default=5,
                          help="snapshot versions to retain (default 5)")
     snapshot_list = snapshot_commands.add_parser(
@@ -283,9 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     classify = commands.add_parser(
         "classify", help="classify a JSONL stream with a saved model"
     )
-    classify.add_argument("model", help="model JSON path (from 'run')")
+    classify.add_argument("model", help="model file (from 'run "
+                          "--save-model')")
     classify.add_argument("input", help="input JSONL path")
-    classify.add_argument("--classes", type=int, choices=(2, 3), default=2)
 
     simulate = commands.add_parser(
         "simulate", help="project cluster execution time / throughput"
@@ -432,9 +433,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         logger.info("  %-10s %.4f", name, value)
     if result.n_unlabeled:
         logger.info("alerts        : %d", result.n_alerts)
-    if args.save_model:
-        size = save_model(pipeline.model, args.save_model)
-        logger.info("model saved   : %s (%d bytes)", args.save_model, size)
+    if args.model_file:
+        _write_model_file(args.model_file, pipeline)
     if args.report:
         from repro.analysis.reporting import render_run_report
 
@@ -729,11 +729,8 @@ def _run_supervised(args: argparse.Namespace, config: PipelineConfig) -> int:
     if recorder is not None and recorder.n_dumps:
         logger.info("flight dumps  : %d written to %s",
                     recorder.n_dumps, args.flight_recorder)
-    if args.save_model:
-        model = (engine.model if isinstance(engine, MicroBatchEngine)
-                 else engine.pipeline.model)
-        size = save_model(model, args.save_model)
-        logger.info("model saved   : %s (%d bytes)", args.save_model, size)
+    if args.model_file:
+        _write_model_file(args.model_file, engine)
     _finalize_telemetry(sink, supervisor.metrics, args)
     return 0
 
@@ -820,10 +817,8 @@ def _run_microbatch(args: argparse.Namespace, config: PipelineConfig) -> int:
                         int(registry.total("pool_rebuilds_total")))
         if result.n_unlabeled:
             logger.info("alerts        : %d", result.n_alerts)
-        if args.save_model:
-            size = save_model(engine.model, args.save_model)
-            logger.info("model saved   : %s (%d bytes)",
-                        args.save_model, size)
+        if args.model_file:
+            _write_model_file(args.model_file, engine)
         if args.report:
             logger.info("report        : only supported with --engine "
                         "sequential; skipped")
@@ -874,23 +869,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_model_file(path: str, source: object) -> None:
+    """``--save-model``: the trained scoring state as a snapshot file."""
+    from repro.core.checkpoint import write_state
+    from repro.serve.snapshot import payload_from_source
+
+    size = write_state(path, "snapshot", payload_from_source(source))
+    logger.info("model saved   : %s (%d bytes)", path, size)
+
+
 def _cmd_snapshot(args: argparse.Namespace) -> int:
+    from repro.core.checkpoint import StateFileError
     from repro.serve.snapshot import SnapshotStore, payload_from_checkpoint
 
     if args.snapshot_command == "publish":
-        from pathlib import Path
-
-        source = Path(args.from_checkpoint)
-        if source.is_dir():
-            source = source / "checkpoint.json"
-        if not source.exists():
-            logger.error("error: checkpoint not found: %s", source)
+        try:
+            payload = payload_from_checkpoint(args.from_checkpoint)
+        except (FileNotFoundError, StateFileError) as exc:
+            logger.error("error: %s", exc)
             return 2
         store = SnapshotStore(args.store, keep=args.keep)
-        info = store.publish(
-            payload_from_checkpoint(source),
-            meta={"source": str(source)},
-        )
+        info = store.publish(payload, meta={"source": args.from_checkpoint})
         logger.info("published     : v%d (%d bytes, sha256 %s...) to %s",
                     info.version, info.n_bytes, info.sha256[:12],
                     args.store)
@@ -900,10 +899,13 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     if not versions:
         logger.info("store %s is empty", args.store)
         return 0
-    latest = store.latest_version()
     for version in versions:
-        info = store.info(version)
-        marker = " (latest)" if version == latest else ""
+        try:
+            info, _ = store.load_verified(version)
+        except StateFileError as exc:
+            logger.info("v%-6d refused: %s", version, exc)
+            continue
+        marker = " (latest)" if version == versions[-1] else ""
         logger.info("v%-6d %10d bytes  sha256 %s...  %s%s",
                     version, info.n_bytes, info.sha256[:12],
                     json.dumps(info.meta, separators=(",", ":")),
@@ -912,21 +914,22 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    from repro.core.features import FeatureExtractor, LabelEncoder
+    from repro.core.checkpoint import StateFileError, read_state
+    from repro.serve.model import ServingModel
 
-    model = load_model(args.model)
-    encoder = LabelEncoder(args.classes)
-    extractor = FeatureExtractor(encoder=encoder)
+    try:
+        model = ServingModel(read_state(args.model, "snapshot").body)
+    except StateFileError as exc:
+        logger.error("error: %s", exc)
+        return 2
     # Predictions are data output, not logging: write them directly so
     # they stay pipeable under any --log-level / --log-json setting.
     out = sys.stdout
     try:
         for tweet in read_jsonl(args.input):
-            instance = extractor.extract(tweet, update_bow=False)
-            predicted = model.predict_one(instance.x)
             out.write(json.dumps({
                 "id_str": tweet.tweet_id,
-                "predicted": encoder.decode(predicted),
+                "predicted": model.classify(tweet)["predicted"],
             }, separators=(",", ":")))
             out.write("\n")
     except BrokenPipeError:

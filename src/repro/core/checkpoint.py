@@ -5,19 +5,27 @@ model, its normalization statistics, or its adaptive vocabulary (Spark
 Streaming checkpoints its state for the same reason). This module
 serializes the *entire* :class:`AggressionDetectionPipeline` — model,
 normalizer, adaptive bag-of-words, prequential evaluator, alert
-history, sampler reservoir, and counters — to a JSON file, such that a
-resumed pipeline continues the stream *exactly* as the original would
-have (verified by the equivalence tests).
+history, sampler reservoir, and counters — to a JSON-safe dict, such
+that a resumed pipeline continues the stream *exactly* as the original
+would have (verified by the equivalence tests).
 
-Checkpoint files are written *atomically and durably*
-(:func:`atomic_write_json`): the payload goes to a ``*.tmp`` file in
-the same directory, is fsynced, and is moved over the target with
-``os.replace``, with the parent directory fsynced around the rename so
-the swap survives power loss, not just process crash. A crash mid-save
-therefore leaves either the previous good checkpoint or the new one,
-never a torn file — the invariant the stream supervisor's
-checkpoint-resume guarantee and the serving layer's snapshot store
-rest on.
+Every persisted state — supervisor checkpoints, serving snapshots and
+the ``repro run --save-model`` file — is one *state file*
+(:func:`write_state` / :func:`read_state`): a single JSON object whose
+first member is a ``"sha256"`` over the rest of its bytes, followed by
+``kind``, ``version`` and ``meta``, then the body's keys. The reader
+checks the digest before it parses anything, so a truncated or
+bit-flipped file is refused, never half-trusted. :class:`StateStore`
+keeps numbered state files (``<kind>-NNNNNNNN.json``) in one
+directory, bounds their retention and loads the newest one that
+verifies.
+
+Files are written *atomically and durably* (:func:`atomic_write_text`):
+the payload goes to a ``*.tmp`` file in the same directory, is fsynced,
+and is moved over the target with ``os.replace``, with the parent
+directory fsynced around the rename so the swap survives power loss,
+not just process crash. A crash mid-save therefore leaves either the
+previous good file or the new one, never a torn file.
 
 The serialization helpers for the alert manager and the boosted sampler
 (:func:`alert_manager_to_dict` / :func:`sampler_to_dict` and their
@@ -27,10 +35,12 @@ checkpoints the micro-batch engine's equivalent state.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.adaptive_bow import AdaptiveBagOfWords, FixedBagOfWords
 from repro.core.alerting import Alert, AlertAction, AlertManager
@@ -55,8 +65,6 @@ from repro.streamml.serialize import (
 )
 from repro.streamml.instance import ClassifiedInstance, Instance
 from repro.streamml.stats import P2Quantile
-
-CHECKPOINT_VERSION = 2
 
 PathLike = Union[str, Path]
 
@@ -109,12 +117,199 @@ def atomic_write_text(path: PathLike, text: str) -> int:
     return len(data)
 
 
-def atomic_write_json(path: PathLike, payload: Any) -> int:
-    """Write JSON to ``path`` atomically; returns the byte size.
+# ----------------------------------------------------------------------
+# State files
+# ----------------------------------------------------------------------
 
-    See :func:`atomic_write_text` for the crash-safety contract.
+#: Version of the state-file layout (envelope plus body sections).
+STATE_VERSION = 1
+
+#: A bare supervisor checkpoint with this ``supervisor_version`` (no
+#: envelope, no digest) is the one pre-state-file input still read, so
+#: a deployment can resume across the upgrade.
+LEGACY_CHECKPOINT_VERSION = 5
+
+_HEAD = b'{"sha256":"'
+_BODY_AT = len(_HEAD) + 64 + 2  # the digest, its closing quote, a comma
+
+
+class StateFileError(SerializationError):
+    """A state file is unreadable, corrupt, or not the expected kind."""
+
+
+@dataclass(frozen=True)
+class StateFile:
+    """One verified state file: its envelope and its parsed body."""
+
+    path: Path
+    sha256: str
+    n_bytes: int
+    meta: Dict[str, Any]
+    body: Dict[str, Any]
+
+
+def _encode_state(
+    kind: str, body: Dict[str, Any], meta: Optional[Dict[str, Any]] = None
+) -> str:
+    """State-file text for ``body``.
+
+    One JSON object: ``{"sha256":…,"kind":…,"version":…,"meta":…}``
+    followed by the body's keys. The digest covers every byte after
+    the ``"sha256"`` member, so a reader verifies before it parses.
     """
-    return atomic_write_text(path, json.dumps(payload, separators=(",", ":")))
+    envelope = {
+        "kind": kind, "version": STATE_VERSION, "meta": dict(meta or {})
+    }
+    clash = sorted((set(envelope) | {"sha256"}) & set(body))
+    if clash:
+        raise ValueError(f"body keys {clash} collide with the envelope")
+    envelope.update(body)
+    rest = json.dumps(envelope, separators=(",", ":"))[1:]
+    digest = hashlib.sha256(rest.encode("utf-8")).hexdigest()
+    return '{"sha256":"' + digest + '",' + rest
+
+
+def write_state(
+    path: PathLike,
+    kind: str,
+    body: Dict[str, Any],
+    meta: Optional[Dict[str, Any]] = None,
+) -> int:
+    """Atomically write one state file; returns its byte size."""
+    return atomic_write_text(path, _encode_state(kind, body, meta))
+
+
+def read_state(path: PathLike, kind: str, legacy: bool = False) -> StateFile:
+    """Read one state file of ``kind``, checking its digest first.
+
+    Raises :class:`StateFileError` naming the file when it is missing,
+    truncated, bit-flipped, of another kind or version, or no state
+    file at all. ``legacy=True`` also accepts a bare
+    ``supervisor_version: 5`` checkpoint (which carries no digest).
+    """
+    path = Path(path)
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise StateFileError(f"{path}: unreadable ({exc})") from exc
+    if raw.startswith(_HEAD) and raw[_BODY_AT - 2:_BODY_AT] == b'",':
+        claimed = raw[len(_HEAD):_BODY_AT - 2].decode("ascii", "replace")
+        digest = hashlib.sha256(raw[_BODY_AT:]).hexdigest()
+        if digest != claimed:
+            raise StateFileError(
+                f"{path}: sha256 mismatch (header {claimed[:12]}..., "
+                f"content {digest[:12]}...)"
+            )
+        body = _parse_state(path, raw)
+        found = (body.get("kind"), body.get("version"))
+        if found != (kind, STATE_VERSION):
+            raise StateFileError(
+                f"{path}: kind {found[0]!r} version {found[1]!r}, expected "
+                f"kind {kind!r} version {STATE_VERSION}"
+            )
+        for key in ("sha256", "kind", "version"):
+            del body[key]
+        return StateFile(path, claimed, len(raw), body.pop("meta", {}), body)
+    if legacy and kind == "checkpoint":
+        body = _parse_state(path, raw)
+        if body.pop("supervisor_version", None) == LEGACY_CHECKPOINT_VERSION:
+            return StateFile(
+                path, hashlib.sha256(raw).hexdigest(), len(raw), {}, body
+            )
+    raise StateFileError(f"{path}: not a {kind} state file")
+
+
+def _parse_state(path: Path, raw: bytes) -> Dict[str, Any]:
+    try:
+        payload = json.loads(raw)
+    except ValueError as exc:
+        raise StateFileError(f"{path}: does not parse ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise StateFileError(f"{path}: not a JSON object")
+    return payload
+
+
+class StateStore:
+    """Numbered state files of one kind: ``<kind>-NNNNNNNN.json``.
+
+    Single writer, many readers. Each :meth:`write` takes the number
+    after the newest file on disk, lands atomically (readers see the
+    whole file or none of it), then deletes all but the newest ``keep``
+    files. :meth:`load_latest` walks the files newest-first and returns
+    the first that verifies, so corrupt state costs freshness, never
+    availability.
+    """
+
+    def __init__(self, root: PathLike, kind: str, keep: int = 3) -> None:
+        if keep < 1:
+            raise ValueError("keep must be >= 1")
+        self.root = Path(root)
+        self.kind = kind
+        self.keep = keep
+
+    def files(self) -> List[Tuple[int, Path]]:
+        """``(number, path)`` of every file on disk, oldest first."""
+        found = []
+        for path in self.root.glob(f"{self.kind}-*.json"):
+            stamp = path.name[len(self.kind) + 1:-len(".json")]
+            if stamp.isdigit():
+                found.append((int(stamp), path))
+        return sorted(found)
+
+    def numbers(self) -> List[int]:
+        """Numbers of the files on disk, oldest first."""
+        return [number for number, _ in self.files()]
+
+    def path(self, number: int) -> Path:
+        """The file on disk for ``number``, else the name a write uses."""
+        default = self.root / f"{self.kind}-{number:08d}.json"
+        return dict(self.files()).get(number, default)
+
+    def write(
+        self, body: Dict[str, Any], meta: Optional[Dict[str, Any]] = None
+    ) -> Tuple[int, StateFile]:
+        """Write ``body`` as the next number; returns it and the file."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        files = self.files()
+        number = files[-1][0] + 1 if files else 1
+        text = _encode_state(self.kind, body, meta)
+        path = self.root / f"{self.kind}-{number:08d}.json"
+        n_bytes = atomic_write_text(path, text)
+        for _, stale in files[:max(0, len(files) + 1 - self.keep)]:
+            try:
+                stale.unlink()
+            except OSError:  # pragma: no cover - best-effort cleanup
+                pass
+        sha256 = text[len(_HEAD):_BODY_AT - 2]
+        return number, StateFile(path, sha256, n_bytes, dict(meta or {}), body)
+
+    def load_latest(
+        self,
+        build: Callable[[int, StateFile], Any],
+        reject: Optional[Callable[[Path, Exception], None]] = None,
+        legacy: bool = False,
+    ) -> Any:
+        """``build(number, file)`` for the newest file that verifies.
+
+        A file that fails to read, verify or build goes to
+        ``reject(path, error)`` and the next older one is tried. Raises
+        :class:`FileNotFoundError` when there are no files and
+        :class:`StateFileError` when none of them verifies.
+        """
+        files = self.files()
+        if not files:
+            raise FileNotFoundError(f"no {self.kind} files in {self.root}")
+        failures: List[str] = []
+        for number, path in reversed(files):
+            try:
+                return build(number, read_state(path, self.kind, legacy))
+            except Exception as exc:
+                failures.append(f"{path.name}: {type(exc).__name__}: {exc}")
+                if reject is not None:
+                    reject(path, exc)
+        raise StateFileError(
+            f"no verifiable {self.kind} in {self.root}: " + "; ".join(failures)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -204,11 +399,9 @@ def normalizer_from_dict(payload: Dict[str, Any]) -> Normalizer:
     else:
         raise SerializationError(f"unknown normalizer kind {kind!r}")
     normalizer.observed = int(payload["observed"])
-    # Pre-observability checkpoints lack the clip counters; default to 0.
-    normalizer.n_transformed = int(payload.get("transformed", 0))
-    normalizer.n_clipped = int(payload.get("clipped", 0))
-    # Pre-fast-math checkpoints default to the bit-exact scalar kernels.
-    normalizer.fast_math = bool(payload.get("fast_math", False))
+    normalizer.n_transformed = int(payload["transformed"])
+    normalizer.n_clipped = int(payload["clipped"])
+    normalizer.fast_math = bool(payload["fast_math"])
     return normalizer
 
 
@@ -469,7 +662,6 @@ def config_to_dict(config: PipelineConfig) -> Dict[str, Any]:
 def pipeline_to_dict(pipeline: AggressionDetectionPipeline) -> Dict[str, Any]:
     """Serialize the full pipeline state (JSON-safe)."""
     return {
-        "checkpoint_version": CHECKPOINT_VERSION,
         "config": config_to_dict(pipeline.config),
         "model": model_to_dict(pipeline.model),
         "normalizer": normalizer_to_dict(pipeline.normalizer),
@@ -488,9 +680,6 @@ def pipeline_to_dict(pipeline: AggressionDetectionPipeline) -> Dict[str, Any]:
 
 def pipeline_from_dict(payload: Dict[str, Any]) -> AggressionDetectionPipeline:
     """Rebuild a pipeline that continues exactly where the saved one was."""
-    version = payload.get("checkpoint_version")
-    if version != CHECKPOINT_VERSION:
-        raise SerializationError(f"unsupported checkpoint version {version!r}")
     config = PipelineConfig(**payload["config"])
     pipeline = AggressionDetectionPipeline(config)
     pipeline.model = model_from_dict(payload["model"])
@@ -502,25 +691,10 @@ def pipeline_from_dict(payload: Dict[str, Any]) -> AggressionDetectionPipeline:
     pipeline.n_processed = int(counters["n_processed"])
     pipeline.n_labeled = int(counters["n_labeled"])
     pipeline.n_unlabeled = int(counters["n_unlabeled"])
-    pipeline.n_quarantined = int(counters.get("n_quarantined", 0))
+    pipeline.n_quarantined = int(counters["n_quarantined"])
     restore_alert_manager(pipeline.alert_manager, payload["alerting"])
     restore_sampler(pipeline.sampler, payload["sampler"])
     return pipeline
-
-
-def save_pipeline(pipeline: AggressionDetectionPipeline, path: PathLike) -> int:
-    """Atomically write a checkpoint file; returns the byte size.
-
-    Uses :func:`atomic_write_json`, so a crash mid-save can never
-    corrupt the last good checkpoint at ``path``.
-    """
-    return atomic_write_json(path, pipeline_to_dict(pipeline))
-
-
-def load_pipeline(path: PathLike) -> AggressionDetectionPipeline:
-    """Load a checkpoint written by :func:`save_pipeline`."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return pipeline_from_dict(payload)
 
 
 def _rng_state_to_json(state) -> List[Any]:

@@ -23,7 +23,7 @@ chunks), not wall seconds, which keeps replayed runs deterministic.
 
 The tracker's full state — definitions, sample rings, firing flags,
 fired counts — round-trips bit-exactly through ``to_dict`` /
-``from_dict``; the stream supervisor embeds it in checkpoint v5 so a
+``from_dict``; the stream supervisor embeds it in its checkpoints so a
 crash-resume continues the same windows instead of starting blind.
 
 :class:`Scorecard` is the one-look operational summary (ROADMAP item
@@ -378,7 +378,7 @@ class SLOTracker:
     # -- checkpointing --------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """Full state — definitions, rings, alert flags (checkpoint v5)."""
+        """Full state — definitions, rings, alert flags (checkpointed)."""
         return {
             "version": 1,
             "slos": [

@@ -795,7 +795,7 @@ class OverloadController:
     # -- checkpoint (de)serialization ------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """Controller configuration + adaptive state (checkpoint v3)."""
+        """Controller configuration + adaptive state (checkpointed)."""
         return {
             "batch_deadline_s": self.batch_deadline_s,
             "batch_size": self.batch_size,

@@ -31,7 +31,6 @@ preserved run-to-run.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import dataclass, field
@@ -49,10 +48,11 @@ from typing import (
 )
 
 from repro.core.checkpoint import (
+    StateFile,
+    StateStore,
     _bow_from_dict,
     _bow_to_dict,
     alert_manager_to_dict,
-    atomic_write_json,
     config_to_dict,
     normalizer_from_dict,
     normalizer_to_dict,
@@ -89,30 +89,11 @@ from repro.reliability.overload import (
     BoundedIngestQueue,
     OverloadController,
 )
-from repro.streamml.serialize import (
-    SerializationError,
-    model_from_dict,
-    model_to_dict,
-)
+from repro.streamml.serialize import model_from_dict, model_to_dict
 
-#: Version 2 adds the ``metrics`` registry snapshot to the payload;
-#: version 3 adds the optional ``overload`` section (bounded ingest
-#: queue backlog + controller state + simulated-clock cursor) so a run
-#: can crash mid-overload and resume exactly; version 4 extends the
-#: controller section with the elastic partition actuator
-#: (n_partitions/min/max, resize + straggler counters) so a crash
-#: mid-recovery resumes with the same partition count; version 5 adds
-#: the optional ``slo`` section (objective definitions + rolling
-#: burn-rate windows + firing/alert state) so SLO alerting resumes
-#: bit-exactly. Versions 1-4 stay readable (older sections resume as
-#: approximations / absent — a v4 run simply has no SLO state).
-SUPERVISOR_CHECKPOINT_VERSION = 5
-_READABLE_CHECKPOINT_VERSIONS = (1, 2, 3, 4, 5)
-CHECKPOINT_FILENAME = "checkpoint.json"
-#: History checkpoints ride alongside the rolling file as
-#: ``checkpoint-NNNNNNNN.json`` (chunk-stamped); resume falls back
+#: Checkpoints are ``checkpoint``-kind state files
+#: (``checkpoint-NNNNNNNN.json``, one per write); resume falls back
 #: over them newest-first when a file is truncated or bit-flipped.
-CHECKPOINT_HISTORY_PREFIX = "checkpoint-"
 DEFAULT_KEEP_CHECKPOINTS = 3
 
 logger = get_logger("supervisor")
@@ -194,7 +175,7 @@ def _batch_result_from_dict(payload: Dict[str, Any]) -> MicroBatchResult:
         stage_seconds=_timings_from_dict(payload["stage_seconds"]),
         n_quarantined=int(payload["n_quarantined"]),
         n_retries=int(payload["n_retries"]),
-        degrade_tier=int(payload.get("degrade_tier", 0)),
+        degrade_tier=int(payload["degrade_tier"]),
     )
 
 
@@ -243,7 +224,8 @@ def microbatch_engine_from_dict(
 
     Execution wiring (runner, retry policy, quarantine, partition
     deadline/speculation) is supplied by the caller, since pools and
-    callbacks cannot be serialized.
+    callbacks cannot be serialized. The registry starts empty: the
+    supervisor restores the checkpoint's exact metrics snapshot.
     """
     engine = MicroBatchEngine(
         PipelineConfig(**payload["config"]),
@@ -275,48 +257,7 @@ def microbatch_engine_from_dict(
     engine.n_quarantined = int(counters["n_quarantined"])
     engine.n_retries = int(counters["n_retries"])
     engine.batches = [_batch_result_from_dict(b) for b in payload["batches"]]
-    _seed_registry_from_counters(engine)
     return engine
-
-
-def _seed_registry_from_counters(engine: MicroBatchEngine) -> None:
-    """Approximate the restored engine's registry from its counters.
-
-    ``stage_seconds`` is a view over the registry, so a restored engine
-    must carry span history: each stage's saved total becomes a single
-    histogram observation (exact sums, coarser distributions), and the
-    data-flow counters are replayed. A supervisor-level resume then
-    *replaces* all of this with the checkpoint's exact snapshot — this
-    seeding only matters for standalone engine restores and for
-    version-1 checkpoints that predate the snapshot.
-    """
-    registry = engine.metrics
-    for batch in engine.batches:
-        for stage, seconds in batch.stage_seconds.as_dict().items():
-            registry.histogram(
-                "stage_seconds", engine="microbatch", stage=stage
-            ).observe(float(seconds))
-        engine._batch_hist.observe(batch.elapsed_seconds)
-    engine._m_batches.inc(len(engine.batches))
-    engine._m_ingested.inc(engine.n_processed + engine.n_quarantined)
-    if engine.n_retries:
-        engine._m_retries.inc(engine.n_retries)
-    registry.counter("tweets_processed_total", engine="microbatch").inc(
-        engine.n_processed
-    )
-    registry.counter("tweets_labeled_total", engine="microbatch").inc(
-        engine.n_labeled
-    )
-    registry.counter("tweets_unlabeled_total", engine="microbatch").inc(
-        engine.n_unlabeled
-    )
-    if engine.n_quarantined:
-        registry.counter(
-            "tweets_quarantined_total", engine="microbatch", stage="partition"
-        ).inc(engine.n_quarantined)
-    if engine.alert_manager.n_alerts:
-        engine._m_alerts.inc(engine.alert_manager.n_alerts)
-    engine._publish_gauges()
 
 
 def _engine_to_dict(engine: Engine) -> Dict[str, Any]:
@@ -352,8 +293,8 @@ class StreamSupervisor:
         engine: a :class:`MicroBatchEngine` or :class:`SequentialEngine`
             (construct it with a retry policy / dead-letter queue for
             engine-level fault handling).
-        checkpoint_dir: directory for the rolling ``checkpoint.json``
-            (atomic writes; ``None`` disables checkpointing).
+        checkpoint_dir: directory for the checkpoint files (atomic
+            writes; ``None`` disables checkpointing).
         checkpoint_every: write a checkpoint after every N chunks.
         chunk_size: tweets per engine call; defaults to the engine's
             ``batch_size`` (micro-batch) or 1000 (sequential).
@@ -377,11 +318,11 @@ class StreamSupervisor:
             policy, not an unbounded buffer, decides what survives a
             burst — and :meth:`run_timed` becomes available for
             closed-loop (arrival-timestamped) replay. Queue and
-            controller state ride in the checkpoint (v3), so a crash
+            controller state ride in the checkpoint, so a crash
             mid-overload resumes exactly.
         slos: optional :class:`~repro.obs.slo.SLOTracker`; the
             supervisor feeds it one sample per chunk, its burn-rate
-            windows and alert state ride in the checkpoint (v5), and
+            windows and alert state ride in the checkpoint, and
             :meth:`scorecard` folds its alert counts into the run's
             scorecard.
         console: optional :class:`~repro.obs.console.OpsConsole`,
@@ -447,7 +388,13 @@ class StreamSupervisor:
         self.slo_tracker = slos
         self.console = console
         self.recorder = recorder
-        self.keep_checkpoints = keep_checkpoints
+        self._checkpoints = (
+            StateStore(self.checkpoint_dir, "checkpoint", keep_checkpoints)
+            if self.checkpoint_dir is not None
+            else None
+        )
+        #: The newest checkpoint file written (or resumed from).
+        self.checkpoint_path: Optional[Path] = None
         #: Optional :class:`~repro.serve.snapshot.SnapshotStore` (duck
         #: typed: anything with ``publish(payload, meta=...)``); every
         #: checkpoint also publishes a verified serving snapshot, so a
@@ -488,20 +435,11 @@ class StreamSupervisor:
 
     # -- checkpointing --------------------------------------------------
 
-    @property
-    def checkpoint_path(self) -> Optional[Path]:
-        if self.checkpoint_dir is None:
-            return None
-        return self.checkpoint_dir / CHECKPOINT_FILENAME
-
     def write_checkpoint(self) -> Optional[int]:
         """Atomically persist supervisor + engine state; returns bytes."""
-        path = self.checkpoint_path
-        if path is None:
+        if self._checkpoints is None:
             return None
-        self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
         payload = {
-            "supervisor_version": SUPERVISOR_CHECKPOINT_VERSION,
             "cursor": self._cursor,
             "chunks_done": self._chunks_done,
             "n_poisoned": self._n_poisoned,
@@ -534,18 +472,11 @@ class StreamSupervisor:
                 ),
                 "server_free_s": self._server_free_s,
             }
-        text = json.dumps(payload, separators=(",", ":"))
-        # History first, rolling file last: readers always find the
-        # newest state at the canonical name, and resume can fall back
-        # over the chunk-stamped history when a file is corrupt.
-        from repro.core.checkpoint import atomic_write_text
-
-        history = self.checkpoint_dir / (
-            f"{CHECKPOINT_HISTORY_PREFIX}{self._chunks_done:08d}.json"
+        _, state = self._checkpoints.write(
+            payload, meta={"chunk": self._chunks_done, "cursor": self._cursor}
         )
-        atomic_write_text(history, text)
-        size = atomic_write_text(path, text)
-        self._gc_checkpoints()
+        size = state.n_bytes
+        self.checkpoint_path = state.path
         self.n_checkpoints += 1
         self.last_checkpoint_chunk = self._chunks_done
         self._m_checkpoints.inc()
@@ -563,20 +494,6 @@ class StreamSupervisor:
         if self.snapshot_store is not None:
             self._publish_snapshot()
         return size
-
-    def _gc_checkpoints(self) -> None:
-        """Bound history retention: keep the newest K, unlink the rest."""
-        assert self.checkpoint_dir is not None
-        stale = sorted(
-            self.checkpoint_dir.glob(f"{CHECKPOINT_HISTORY_PREFIX}*.json"),
-            reverse=True,
-        )[self.keep_checkpoints:]
-        for path in stale:
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
-            logger.debug("checkpoint history GC: %s", path.name)
 
     def _publish_snapshot(self) -> None:
         """Publish the engine's scoring state to the snapshot store."""
@@ -621,85 +538,72 @@ class StreamSupervisor:
     ) -> "StreamSupervisor":
         """Rebuild a supervisor from the newest *verifiable* checkpoint.
 
-        The rolling ``checkpoint.json`` is tried first, then the
-        chunk-stamped history files newest-first: a truncated or
-        bit-flipped file is skipped with one WARNING (and counted in
-        ``checkpoint_corrupt_total``) and the next older candidate is
-        tried — corrupt state costs recent progress, never the whole
-        run. :class:`~repro.streamml.serialize.SerializationError` is
-        raised only when *no* retained file verifies.
+        Checkpoint files are tried newest-first: a truncated or
+        bit-flipped file (its sha256 does not match) is skipped with
+        one WARNING (and counted in ``checkpoint_corrupt_total``) and
+        the next older one is tried — corrupt state costs recent
+        progress, never the whole run.
+        :class:`~repro.core.checkpoint.StateFileError` is raised only
+        when *no* retained file verifies. A bare ``supervisor_version:
+        5`` checkpoint, the format before state files, still resumes.
 
         The returned supervisor's next :meth:`run` call must receive
         the *same replayable stream* the original run did; it skips the
         already-consumed prefix and continues, reproducing the
         uninterrupted run's final metrics and alert list exactly.
         """
-        directory = Path(checkpoint_dir)
-        candidates = [directory / CHECKPOINT_FILENAME]
-        candidates.extend(sorted(
-            directory.glob(f"{CHECKPOINT_HISTORY_PREFIX}*.json"),
-            reverse=True,
-        ))
-        candidates = [path for path in candidates if path.exists()]
-        if not candidates:
-            raise FileNotFoundError(
-                f"no checkpoint files in {directory}"
+        skipped: List[str] = []
+        engine_options = dict(
+            runner=runner,
+            n_workers=n_workers,
+            retry_policy=retry_policy,
+            dead_letters=dead_letters,
+            max_poison_rate=max_poison_rate,
+            partition_deadline_s=partition_deadline_s,
+            speculate=speculate,
+        )
+        supervisor_options = dict(
+            checkpoint_dir=checkpoint_dir,
+            checkpoint_every=checkpoint_every,
+            dead_letters=dead_letters,
+            max_poison_rate=max_poison_rate,
+            validate=validate,
+            telemetry=telemetry,
+            metrics_every=metrics_every,
+            console=console,
+            recorder=recorder,
+            keep_checkpoints=keep_checkpoints,
+            snapshot_store=snapshot_store,
+        )
+
+        def build(_number: int, state: StateFile) -> "StreamSupervisor":
+            supervisor = cls._resume_from_payload(
+                state.body, engine_options, supervisor_options
             )
-        failures: List[Tuple[str, BaseException]] = []
-        supervisor: Optional["StreamSupervisor"] = None
-        resumed_from: Optional[Path] = None
-        for candidate in candidates:
-            try:
-                payload = json.loads(
-                    candidate.read_text(encoding="utf-8")
-                )
-                supervisor = cls._resume_from_payload(
-                    payload,
-                    checkpoint_dir=checkpoint_dir,
-                    checkpoint_every=checkpoint_every,
-                    runner=runner,
-                    n_workers=n_workers,
-                    retry_policy=retry_policy,
-                    dead_letters=dead_letters,
-                    max_poison_rate=max_poison_rate,
-                    validate=validate,
-                    telemetry=telemetry,
-                    metrics_every=metrics_every,
-                    partition_deadline_s=partition_deadline_s,
-                    speculate=speculate,
-                    console=console,
-                    recorder=recorder,
-                    keep_checkpoints=keep_checkpoints,
-                    snapshot_store=snapshot_store,
-                )
-                resumed_from = candidate
-                break
-            except Exception as exc:
-                failures.append((candidate.name, exc))
-        if supervisor is None:
-            detail = "; ".join(
-                f"{name}: {type(exc).__name__}: {exc}"
-                for name, exc in failures
-            )
-            raise SerializationError(
-                f"no verifiable checkpoint in {directory}: {detail}"
-            )
-        if failures:
+            supervisor.checkpoint_path = state.path
+            return supervisor
+
+        supervisor = StateStore(checkpoint_dir, "checkpoint").load_latest(
+            build,
+            reject=lambda path, _exc: skipped.append(path.name),
+            legacy=True,
+        )
+        if skipped:
             logger.warning(
                 "skipped %d corrupt checkpoint file(s) (%s); resumed "
                 "from %s",
-                len(failures),
-                ", ".join(name for name, _ in failures),
-                resumed_from.name,
+                len(skipped),
+                ", ".join(skipped),
+                supervisor.checkpoint_path.name,
             )
             supervisor.metrics.counter("checkpoint_corrupt_total").inc(
-                len(failures)
+                len(skipped)
             )
             if telemetry is not None:
                 telemetry.event(
                     "checkpoint_corrupt",
-                    skipped=[name for name, _ in failures],
-                    resumed_from=resumed_from.name,
+                    skipped=skipped,
+                    resumed_from=supervisor.checkpoint_path.name,
                 )
         return supervisor
 
@@ -707,60 +611,35 @@ class StreamSupervisor:
     def _resume_from_payload(
         cls,
         payload: Dict[str, Any],
-        checkpoint_dir: PathLike,
-        checkpoint_every: int,
-        runner: Optional[Union[Runner, str]],
-        n_workers: Optional[int],
-        retry_policy: Optional[RetryPolicy],
-        dead_letters: Optional[DeadLetterQueue],
-        max_poison_rate: Optional[float],
-        validate: bool,
-        telemetry: Optional[TelemetrySink],
-        metrics_every: Optional[int],
-        partition_deadline_s: Optional[float],
-        speculate: Optional[float],
-        console: Optional[OpsConsole],
-        recorder: Optional[FlightRecorder],
-        keep_checkpoints: int,
-        snapshot_store: Optional[Any],
+        engine_options: Dict[str, Any],
+        supervisor_options: Dict[str, Any],
     ) -> "StreamSupervisor":
-        """Rebuild a supervisor from one parsed checkpoint payload."""
-        version = payload.get("supervisor_version")
-        if version not in _READABLE_CHECKPOINT_VERSIONS:
-            raise SerializationError(
-                f"unsupported supervisor checkpoint version {version!r}"
-            )
+        """Rebuild a supervisor from one checkpoint body."""
+        telemetry = supervisor_options["telemetry"]
+        recorder = supervisor_options["recorder"]
         engine_payload = payload["engine"]
         engine: Engine
         if engine_payload["engine"] == "microbatch":
             engine = microbatch_engine_from_dict(
-                engine_payload,
-                runner=runner,
-                n_workers=n_workers,
-                retry_policy=retry_policy,
-                dead_letters=dead_letters,
-                max_poison_rate=max_poison_rate,
-                partition_deadline_s=partition_deadline_s,
-                speculate=speculate,
+                engine_payload, **engine_options
             )
         elif engine_payload["engine"] == "sequential":
             engine = SequentialEngine(
-                dead_letters=dead_letters, max_poison_rate=max_poison_rate
+                dead_letters=engine_options["dead_letters"],
+                max_poison_rate=engine_options["max_poison_rate"],
             )
             quarantine = (engine.pipeline.dead_letters, engine.pipeline.breaker)
             pipeline = pipeline_from_dict(engine_payload["pipeline"])
             pipeline.dead_letters, pipeline.breaker = quarantine
             engine.replace_pipeline(pipeline)
         else:
-            raise SerializationError(
+            raise ValueError(
                 f"unknown engine kind {engine_payload['engine']!r}"
             )
-        metrics_payload = payload.get("metrics")
-        if metrics_payload is not None:
-            # Replace the seeded approximations with the exact snapshot
-            # (in place — the engine's bound metric objects stay live).
-            engine.metrics.restore(MetricsSnapshot.from_dict(metrics_payload))
-        # Overload state (v3): rebuild queue backlog + controller
+        # The exact registry snapshot, loaded in place: the engine's
+        # bound metric objects stay live.
+        engine.metrics.restore(MetricsSnapshot.from_dict(payload["metrics"]))
+        # Overload state: rebuild queue backlog + controller
         # mid-episode and re-attach them, so the resumed run sheds,
         # degrades and recovers exactly as the crashed one would have.
         overload_payload = payload.get("overload")
@@ -787,7 +666,7 @@ class StreamSupervisor:
                         engine.n_partitions = controller.n_partitions
                 else:
                     engine.pipeline.set_degrade_tier(controller.tier)
-        # SLO state (v5): the tracker — definitions, rolling burn
+        # SLO state: the tracker — definitions, rolling burn
         # windows, firing set, alert counts — comes back bit-exactly;
         # alert events from the resumed run go to the new sinks.
         slo_payload = payload.get("slo")
@@ -799,23 +678,13 @@ class StreamSupervisor:
             slo_tracker = SLOTracker.from_dict(slo_payload, sinks=sinks)
         supervisor = cls(
             engine,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
             chunk_size=int(payload["chunk_size"]),
-            dead_letters=dead_letters,
-            max_poison_rate=max_poison_rate,
-            validate=validate,
-            telemetry=telemetry,
-            metrics_every=metrics_every,
             ingest_queue=ingest_queue,
             slos=slo_tracker,
-            console=console,
-            recorder=recorder,
+            **supervisor_options,
         )
         if overload_payload is not None:
-            supervisor._server_free_s = float(
-                overload_payload.get("server_free_s", 0.0)
-            )
+            supervisor._server_free_s = float(overload_payload["server_free_s"])
         logger.info(
             "resumed from checkpoint: cursor=%d chunks_done=%d",
             int(payload["cursor"]), int(payload["chunks_done"]),

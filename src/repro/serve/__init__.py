@@ -6,8 +6,8 @@ live. It is split along the process boundary:
 
 * :mod:`repro.serve.snapshot` — the checksummed, versioned
   :class:`SnapshotStore` the training side publishes into and the
-  server polls (sha256 manifest, atomic+durable writes, corrupt-file
-  fallback, bounded retention);
+  server polls (self-verifying state files, atomic+durable writes,
+  corrupt-file fallback, bounded retention);
 * :mod:`repro.serve.model` — :class:`ServingModel`, the
   deadline-aware scorer built from one verified snapshot (degrade
   tiers instead of errors);
@@ -37,13 +37,11 @@ from repro.serve.server import (
     tweet_from_payload,
 )
 from repro.serve.snapshot import (
-    SNAPSHOT_VERSION,
     SnapshotInfo,
     SnapshotIntegrityError,
     SnapshotStore,
     payload_from_checkpoint,
     payload_from_source,
-    snapshot_payload,
 )
 
 __all__ = [
@@ -53,7 +51,6 @@ __all__ = [
     "RequestShed",
     "RollingBreaker",
     "ServingModel",
-    "SNAPSHOT_VERSION",
     "SnapshotInfo",
     "SnapshotIntegrityError",
     "SnapshotStore",
@@ -61,6 +58,5 @@ __all__ = [
     "payload_from_checkpoint",
     "payload_from_source",
     "register_admission_policy",
-    "snapshot_payload",
     "tweet_from_payload",
 ]

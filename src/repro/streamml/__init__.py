@@ -23,12 +23,7 @@ from repro.streamml.instance import Instance
 from repro.streamml.knn import KNNClassifier
 from repro.streamml.majority import MajorityClassClassifier, NoChangeClassifier
 from repro.streamml.naive_bayes import GaussianNaiveBayes
-from repro.streamml.serialize import (
-    load_model,
-    model_from_dict,
-    model_to_dict,
-    save_model,
-)
+from repro.streamml.serialize import model_from_dict, model_to_dict
 from repro.streamml.slr import StreamingLogisticRegression
 from repro.streamml.stats import P2Quantile, RunningMinMax, RunningStats
 
@@ -41,10 +36,8 @@ __all__ = [
     "OzaBagging",
     "OzaBoosting",
     "KNNClassifier",
-    "load_model",
     "model_from_dict",
     "model_to_dict",
-    "save_model",
     "HoeffdingTree",
     "Instance",
     "MajorityClassClassifier",

@@ -1,12 +1,10 @@
-"""Model serialization: save/load streaming models as plain JSON.
+"""Model serialization: streaming models as plain JSON-safe dicts.
 
 The deployment story of §III-B requires shipping the global model
 around (broadcast after every micro-batch, checkpointing across
-restarts). This module serializes every streaming classifier to a
-JSON-safe dict and back:
-
-* :func:`model_to_dict` / :func:`model_from_dict` — in-memory;
-* :func:`save_model` / :func:`load_model` — to/from a JSON file.
+restarts). :func:`model_to_dict` / :func:`model_from_dict` serialize
+every streaming classifier to a JSON-safe dict and back; files on disk
+are state files (:mod:`repro.core.checkpoint`) that embed these dicts.
 
 Serialized state covers everything needed for identical *predictions*.
 ARF drift detectors are intentionally not serialized (their windows are
@@ -16,9 +14,7 @@ like a tree that was just promoted after a drift.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List
 
 from repro.streamml.arf import AdaptiveRandomForest, _ForestMember
 from repro.streamml.base import StreamClassifier
@@ -34,8 +30,6 @@ from repro.streamml.slr import StreamingLogisticRegression
 from repro.streamml.stats import RunningMinMax, RunningStats
 
 SCHEMA_VERSION = 1
-
-PathLike = Union[str, Path]
 
 
 class SerializationError(ValueError):
@@ -384,16 +378,3 @@ def model_from_dict(payload: Dict[str, Any]) -> StreamClassifier:
     if kind not in _FROM_DICT:
         raise SerializationError(f"unknown model kind {kind!r}")
     return _FROM_DICT[kind](payload["model"])
-
-
-def save_model(model: StreamClassifier, path: PathLike) -> int:
-    """Write a model to a JSON file; returns the byte size written."""
-    text = json.dumps(model_to_dict(model), separators=(",", ":"))
-    Path(path).write_text(text, encoding="utf-8")
-    return len(text.encode("utf-8"))
-
-
-def load_model(path: PathLike) -> StreamClassifier:
-    """Read a model back from :func:`save_model` output."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return model_from_dict(payload)

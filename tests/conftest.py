@@ -64,3 +64,17 @@ def example_tweet() -> Tweet:
 def make_instance(x, y=None, **kwargs) -> Instance:
     """Terse instance constructor for tests."""
     return Instance(x=tuple(float(v) for v in x), y=y, **kwargs)
+
+
+def flip_model_digit(path) -> None:
+    """Flip one digit inside a state file's Hoeffding-tree statistics.
+
+    The JSON still parses and the model still loads: only the file's
+    sha256 can tell the state changed.
+    """
+    raw = bytearray(path.read_bytes())
+    at = raw.index(b'"mean":', raw.index(b'"model":{"schema_version"')) + 7
+    while not chr(raw[at]).isdigit():
+        at += 1
+    raw[at] = ord(str((int(chr(raw[at])) + 1) % 10))
+    path.write_bytes(bytes(raw))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.checkpoint import atomic_write_json, atomic_write_text
+from repro.core.checkpoint import atomic_write_text
 
 
 def _fd_target(fd: int) -> str:
@@ -119,7 +119,7 @@ class TestDurabilityProtocol:
         assert target.read_text(encoding="utf-8") == "content"
 
     def test_no_temp_litter_on_success(self, tmp_path):
-        atomic_write_json(tmp_path / "a.json", {"x": 1})
+        atomic_write_text(tmp_path / "a.json", '{"x": 1}')
         leftovers = [
             p.name for p in tmp_path.iterdir() if p.name != "a.json"
         ]

@@ -5,17 +5,20 @@ from __future__ import annotations
 import pytest
 
 from repro.core.checkpoint import (
-    load_pipeline,
+    StateFileError,
     normalizer_from_dict,
     normalizer_to_dict,
     pipeline_from_dict,
     pipeline_to_dict,
-    save_pipeline,
+    read_state,
+    write_state,
 )
 from repro.core.config import PipelineConfig
 from repro.core.normalization import make_normalizer
 from repro.core.pipeline import AggressionDetectionPipeline
 from repro.data.loader import strip_labels
+
+from tests.conftest import flip_model_digit
 
 
 class TestNormalizerRoundTrip:
@@ -96,22 +99,39 @@ class TestResumeEquivalence:
 
 
 class TestFiles:
-    def test_file_round_trip(self, tmp_path, small_stream):
+    @pytest.fixture()
+    def state_path(self, tmp_path, small_stream):
         pipeline = AggressionDetectionPipeline(PipelineConfig(n_classes=3))
         pipeline.process_stream(small_stream[:800])
-        path = tmp_path / "checkpoint.json"
-        size = save_pipeline(pipeline, path)
-        assert size > 0
-        restored = load_pipeline(path)
+        path = tmp_path / "state.json"
+        write_state(path, "checkpoint", pipeline_to_dict(pipeline), {"n": 800})
+        return path
+
+    def test_file_round_trip(self, state_path):
+        state = read_state(state_path, "checkpoint")
+        assert state.meta == {"n": 800}
+        restored = pipeline_from_dict(state.body)
         assert restored.config.n_classes == 3
         assert restored.n_processed == 800
 
-    def test_bad_version_rejected(self, small_stream):
-        from repro.streamml.serialize import SerializationError
+    def test_bad_version_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.core.checkpoint.STATE_VERSION", 2)
+        write_state(tmp_path / "v2.json", "checkpoint", {"cursor": 0})
+        monkeypatch.undo()
+        with pytest.raises(StateFileError, match="v2.json.*version 2"):
+            read_state(tmp_path / "v2.json", "checkpoint")
 
-        pipeline = AggressionDetectionPipeline(PipelineConfig(n_classes=2))
-        pipeline.process_stream(small_stream[:100])
-        payload = pipeline_to_dict(pipeline)
-        payload["checkpoint_version"] = 999
-        with pytest.raises(SerializationError):
-            pipeline_from_dict(payload)
+    DAMAGE = {
+        "wrong_kind": lambda path: None,
+        "truncated": lambda path: path.write_text(path.read_text()[:999]),
+        "bit_flip": flip_model_digit,
+        "missing": lambda path: path.unlink(),
+        "bare": lambda path: path.write_text('{"cursor": 0}'),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_file_refused_naming_it(self, state_path, damage):
+        self.DAMAGE[damage](state_path)
+        kind = "snapshot" if damage == "wrong_kind" else "checkpoint"
+        with pytest.raises(StateFileError, match="state.json"):
+            read_state(state_path, kind, legacy=True)

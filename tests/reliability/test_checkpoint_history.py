@@ -1,18 +1,15 @@
-"""Checkpoint history: bounded retention and corrupt-file fallback."""
+"""Checkpoint files: bounded retention and corrupt-file fallback."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.data.synthetic import AbusiveDatasetGenerator
 from repro.engine.sequential import SequentialEngine
-from repro.reliability.supervisor import (
-    CHECKPOINT_HISTORY_PREFIX,
-    StreamSupervisor,
-)
+from repro.reliability.supervisor import StreamSupervisor
 from repro.streamml.serialize import SerializationError
+
+from tests.conftest import flip_model_digit
 
 
 def _tweets(n=1000, seed=31):
@@ -20,10 +17,7 @@ def _tweets(n=1000, seed=31):
 
 
 def _history(directory):
-    return sorted(
-        p.name
-        for p in directory.glob(f"{CHECKPOINT_HISTORY_PREFIX}*.json")
-    )
+    return sorted(p.name for p in directory.glob("checkpoint-*.json"))
 
 
 class TestRetention:
@@ -36,16 +30,10 @@ class TestRetention:
             keep_checkpoints=3,
         )
         supervisor.run(_tweets(1000))
-        names = _history(tmp_path)
-        assert len(names) == 3
-        # The newest chunk stamps survive (chunk 10 twice: periodic
-        # write + final write share the stamp, so 8, 9, 10 remain).
-        assert names == [
-            "checkpoint-00000008.json",
-            "checkpoint-00000009.json",
-            "checkpoint-00000010.json",
-        ]
-        assert (tmp_path / "checkpoint.json").exists()
+        # One file per write (10 periodic + 1 final); the newest 3 stay.
+        names = [f"checkpoint-{n:08d}.json" for n in (9, 10, 11)]
+        assert _history(tmp_path) == names
+        assert supervisor.checkpoint_path == tmp_path / names[-1]
 
     def test_keep_checkpoints_validation(self):
         with pytest.raises(ValueError, match="keep_checkpoints"):
@@ -66,16 +54,15 @@ class TestCorruptFallback:
         supervisor.run(_tweets(600))
         return supervisor
 
-    def test_truncated_rolling_file_falls_back_to_history(self, tmp_path):
+    def test_truncated_newest_file_falls_back(self, tmp_path):
         # Spy on the module logger directly: CLI tests may have set
         # propagate=False on the repro tree, which blinds caplog.
         from unittest import mock
 
         from repro.reliability import supervisor as supervisor_mod
 
-        self._run(tmp_path)
-        rolling = tmp_path / "checkpoint.json"
-        rolling.write_text(rolling.read_text()[:200])
+        newest = self._run(tmp_path).checkpoint_path
+        newest.write_text(newest.read_text()[:200])
         with mock.patch.object(
             supervisor_mod.logger, "warning"
         ) as warning:
@@ -90,9 +77,9 @@ class TestCorruptFallback:
 
     def test_falls_back_over_multiple_corrupt_files(self, tmp_path):
         self._run(tmp_path)
-        (tmp_path / "checkpoint.json").write_text("{")
         names = _history(tmp_path)
-        (tmp_path / names[-1]).write_text("also broken")
+        (tmp_path / names[-1]).write_text("{")
+        (tmp_path / names[-2]).write_text("also broken")
         resumed = StreamSupervisor.resume(tmp_path)
         # Landed on an older-but-valid cut: strictly earlier progress.
         assert 0 < resumed._cursor < 600
@@ -101,14 +88,22 @@ class TestCorruptFallback:
             == 2.0
         )
 
-    def test_fallback_resume_still_completes_the_stream(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["zeroed", "digit_flip"])
+    def test_fallback_resume_still_completes_the_stream(
+        self, tmp_path, damage
+    ):
         tweets = _tweets(600)
         baseline = StreamSupervisor(
             SequentialEngine(), chunk_size=100
         ).run(tweets)
-        self._run(tmp_path)
-        (tmp_path / "checkpoint.json").write_bytes(b"\x00" * 64)
+        newest = self._run(tmp_path).checkpoint_path
+        if damage == "zeroed":
+            newest.write_bytes(b"\x00" * 64)
+        else:  # still valid JSON and a loadable model: only sha256 tells
+            flip_model_digit(newest)
         resumed = StreamSupervisor.resume(tmp_path)
+        corrupt = resumed.metrics.counter("checkpoint_corrupt_total")
+        assert corrupt.value == 1.0
         final = resumed.run(tweets)
         assert final.result.metrics == baseline.result.metrics
 
@@ -135,9 +130,9 @@ class TestCorruptFallback:
             def snapshot(self, *args, **kwargs):
                 pass
 
-        self._run(tmp_path)
-        (tmp_path / "checkpoint.json").write_text("~")
+        newest = self._run(tmp_path).checkpoint_path
+        newest.write_text("~")
         StreamSupervisor.resume(tmp_path, telemetry=Sink())
         corrupt = [e for e in events if e[0] == "checkpoint_corrupt"]
         assert len(corrupt) == 1
-        assert corrupt[0][1]["skipped"] == ["checkpoint.json"]
+        assert corrupt[0][1]["skipped"] == [newest.name]

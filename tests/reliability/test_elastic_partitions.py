@@ -22,7 +22,6 @@ from repro.data.synthetic import AbusiveDatasetGenerator
 from repro.engine.microbatch import MicroBatchEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.reliability import StreamSupervisor
-from repro.reliability.supervisor import SUPERVISOR_CHECKPOINT_VERSION
 from repro.reliability.deadletter import StreamHealth
 from repro.reliability.overload import (
     BoundedIngestQueue,
@@ -317,7 +316,7 @@ class TestCrashResumeElastic:
             )
         assert crashed.n_checkpoints >= 1
         payload = json.loads(crashed.checkpoint_path.read_text())
-        assert payload["supervisor_version"] == SUPERVISOR_CHECKPOINT_VERSION
+        assert payload["kind"] == "checkpoint"
         assert payload["overload"]["controller"]["max_partitions"] == 4
 
         resumed = StreamSupervisor.resume(

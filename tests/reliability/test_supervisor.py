@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.checkpoint import atomic_write_json
+from repro.core.checkpoint import StateFileError
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import AggressionDetectionPipeline
 from repro.data.synthetic import AbusiveDatasetGenerator
@@ -75,22 +75,6 @@ class TestPipelineQuarantine:
         storm = corrupting_stream(_tweets(500), rate=0.5, seed=7)
         with pytest.raises(CircuitOpenError):
             pipeline.process_stream(storm)
-
-
-class TestAtomicWrite:
-    def test_writes_json_and_removes_tmp(self, tmp_path):
-        target = tmp_path / "state.json"
-        size = atomic_write_json(target, {"a": 1})
-        assert size == target.stat().st_size
-        assert json.loads(target.read_text()) == {"a": 1}
-        assert list(tmp_path.iterdir()) == [target]
-
-    def test_failed_write_leaves_previous_file_intact(self, tmp_path):
-        target = tmp_path / "state.json"
-        atomic_write_json(target, {"good": True})
-        with pytest.raises(TypeError):
-            atomic_write_json(target, {"bad": object()})
-        assert json.loads(target.read_text()) == {"good": True}
 
 
 class TestCheckpointResume:
@@ -165,7 +149,7 @@ class TestCheckpointResume:
         legacy_dir.mkdir()
         with gzip.open(LEGACY_CHECKPOINT, "rb") as handle:
             raw = handle.read()
-        (legacy_dir / "checkpoint.json").write_bytes(raw)
+        (legacy_dir / "checkpoint-00000002.json").write_bytes(raw)
         payload = json.loads(raw)
         assert payload["supervisor_version"] == 5
         assert payload["cursor"] == 400
@@ -199,10 +183,11 @@ class TestCheckpointResume:
         assert second.health.n_processed == first.health.n_processed
 
     def test_resume_rejects_unknown_version(self, tmp_path):
-        atomic_write_json(
-            tmp_path / "checkpoint.json", {"supervisor_version": 999}
+        # Only a bare version-5 checkpoint is read without an envelope.
+        (tmp_path / "checkpoint-00000001.json").write_text(
+            json.dumps({"supervisor_version": 4})
         )
-        with pytest.raises(Exception, match="version"):
+        with pytest.raises(StateFileError, match="no verifiable checkpoint"):
             StreamSupervisor.resume(tmp_path)
 
 

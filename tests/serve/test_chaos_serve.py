@@ -148,11 +148,11 @@ class TestSnapshotCorruption:
 
         asyncio.run(main())
 
-    def test_kill_mid_publish_manifest_points_at_missing_file(
+    def test_vanished_snapshot_file_keeps_serving(
         self, tmp_path, trained_payload, trained_payload_v2
     ):
-        """Manifest updated, snapshot file gone (the torn window of a
-        non-atomic publisher): refused, fallback keeps serving."""
+        """The newest snapshot file is deleted after publish: the
+        server keeps serving the version it has."""
 
         async def main():
             store, server = _serve(

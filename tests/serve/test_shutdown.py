@@ -142,7 +142,7 @@ class TestRunSigterm:
         )
         try:
             # Let it make some progress, then ask it to stop.
-            assert _wait_for(lambda: (ckpt / "checkpoint.json").exists())
+            assert _wait_for(lambda: any(ckpt.glob("checkpoint-*.json")))
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == 0
         finally:
@@ -154,7 +154,7 @@ class TestRunSigterm:
         assert "stopped       : graceful drain" in text
         # The final checkpoint is written and resumable.
         payload = json.loads(
-            (ckpt / "checkpoint.json").read_text(encoding="utf-8")
+            max(ckpt.glob("checkpoint-*.json")).read_text(encoding="utf-8")
         )
         assert payload["cursor"] > 0
         # A serving snapshot landed in the store.

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.core.checkpoint import StateFileError
 from repro.data.synthetic import AbusiveDatasetGenerator
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.model import ServingModel
@@ -14,6 +15,8 @@ from repro.serve.snapshot import (
     SnapshotStore,
     payload_from_checkpoint,
 )
+
+from tests.conftest import flip_model_digit
 
 
 class TestPublishAndLoad:
@@ -87,12 +90,13 @@ class TestCorruption:
         info, _ = store.load_latest_verified()
         assert info.version == 1
 
-    def test_unparseable_manifest_reads_as_empty(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        store.root.mkdir(parents=True, exist_ok=True)
-        store.manifest_path.write_text("{nope")
-        assert store.versions() == []
-        assert store.latest_version() is None
+    def test_pre_state_file_snapshot_is_refused(
+        self, tmp_path, trained_payload
+    ):
+        old = tmp_path / "snapshot-000001.json"  # no sha256 header
+        old.write_text(json.dumps(trained_payload))
+        with pytest.raises(SnapshotIntegrityError, match="snapshot-000001"):
+            SnapshotStore(tmp_path).load_latest_verified()
 
 
 class TestRetention:
@@ -101,12 +105,8 @@ class TestRetention:
         for _ in range(5):
             store.publish(trained_payload)
         assert store.versions() == [4, 5]
-        names = sorted(
-            p.name for p in tmp_path.glob("snapshot-*.json")
-        )
-        assert names == [
-            "snapshot-000004.json", "snapshot-000005.json",
-        ]
+        names = sorted(p.name for p in tmp_path.glob("snapshot-*.json"))
+        assert names == ["snapshot-00000004.json", "snapshot-00000005.json"]
 
     def test_publish_counter(self, tmp_path, trained_payload):
         registry = MetricsRegistry()
@@ -125,6 +125,7 @@ class TestPayloadFromCheckpoint:
     def test_supervisor_checkpoint_extraction(
         self, tmp_path, small_stream
     ):
+        from repro.cli import main
         from repro.engine.sequential import SequentialEngine
         from repro.reliability.supervisor import StreamSupervisor
 
@@ -133,16 +134,22 @@ class TestPayloadFromCheckpoint:
             engine, checkpoint_dir=tmp_path / "ckpt", chunk_size=200
         )
         supervisor.run(small_stream[:400])
-        payload = payload_from_checkpoint(
-            tmp_path / "ckpt" / "checkpoint.json"
-        )
+        payload = payload_from_checkpoint(tmp_path / "ckpt")
         store = SnapshotStore(tmp_path / "snaps")
         info = store.publish(payload)
         model = ServingModel(store.load_verified(info.version)[1])
         assert model.classify(small_stream[0])["predicted"]
+        # A flipped model digit is refused, never laundered into a snapshot.
+        flip_model_digit(supervisor.checkpoint_path)
+        with pytest.raises(StateFileError):
+            payload_from_checkpoint(supervisor.checkpoint_path)
+        bad = tmp_path / "bad"
+        assert main(["snapshot", "publish", str(bad), "--from-checkpoint",
+                     str(supervisor.checkpoint_path)]) == 2
+        assert SnapshotStore(bad).versions() == []
 
     def test_rejects_garbage_checkpoint(self, tmp_path):
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps({"something": "else"}))
-        with pytest.raises(SnapshotIntegrityError):
+        with pytest.raises(StateFileError):
             payload_from_checkpoint(path)

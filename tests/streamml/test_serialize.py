@@ -18,10 +18,8 @@ from repro.streamml import (
 )
 from repro.streamml.serialize import (
     SerializationError,
-    load_model,
     model_from_dict,
     model_to_dict,
-    save_model,
 )
 
 
@@ -70,15 +68,6 @@ class TestRoundTrip:
         model = _train(factory(), n=500)
         payload = model_to_dict(model)
         json.dumps(payload)  # must not raise
-
-    def test_file_round_trip(self, tmp_path):
-        model = _train(HoeffdingTree(n_classes=2, grace_period=100))
-        path = tmp_path / "model.json"
-        size = save_model(model, path)
-        assert size > 0
-        restored = load_model(path)
-        for probe in _probes():
-            assert restored.predict_one(probe) == model.predict_one(probe)
 
     def test_restored_model_keeps_learning(self):
         model = _train(HoeffdingTree(n_classes=2, grace_period=100), n=1000)

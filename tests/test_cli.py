@@ -78,15 +78,24 @@ class TestRunAndClassify:
         assert "model saved" in capsys.readouterr().out
 
     def test_save_and_classify(self, dataset, tmp_path, capsys):
+        from repro.core.checkpoint import read_state
+        from repro.data.loader import read_jsonl
+        from repro.serve.model import ServingModel
+
         model_path = tmp_path / "model.json"
-        main(["run", str(dataset), "--save-model", str(model_path)])
-        assert model_path.exists()
+        main(["run", str(dataset), "--classes", "3",
+              "--save-model", str(model_path)])
         capsys.readouterr()
         assert main(["classify", str(model_path), str(dataset)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 800
-        record = json.loads(lines[0])
-        assert record["predicted"] in ("normal", "aggressive")
+        serving = ServingModel(read_state(model_path, "snapshot").body)
+        for line, tweet in zip(lines, read_jsonl(dataset)):
+            expected = serving.classify(tweet)["predicted"]
+            assert json.loads(line)["predicted"] == expected
+        model_path.write_text('{"schema_version": 1}')  # a bare model file
+        assert main(["classify", str(model_path), str(dataset)]) == 2
+        assert "model.json" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -141,7 +150,7 @@ class TestSupervisedRun:
         out = capsys.readouterr().out
         assert "supervised" in out
         assert "quarantined" in out
-        assert (ckpt / "checkpoint.json").exists()
+        assert list(ckpt.glob("checkpoint-*.json"))
 
     def test_resume_smoke_matches_uninterrupted(self, dataset, tmp_path,
                                                 capsys):
